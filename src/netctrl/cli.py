@@ -3,9 +3,10 @@
 Decision subcommands (check, solve, classify, structural, verify, track)
 encode their verdict in the exit code so shell pipelines can branch: 0 for a
 positive answer, 1 for a negative one (not controllable / unsolvable / a
-failed trial), 2 for usage or file errors.  Computational subcommands
-(linking, separator, export-dot) exit 0 on success.  All results are
-reproducible from library calls; the CLI adds only I/O and formatting.
+failed trial), 2 for usage, file and argument errors and for inputs too large
+for memory.  Computational subcommands (linking, separator, export-dot) exit
+0 on success.  All results are reproducible from library calls; the CLI adds
+only I/O and formatting.
 """
 
 from __future__ import annotations
@@ -387,11 +388,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnsolvableError, OSError) as exc:
+        # an UnsolvableError that reaches here is a request (export-dot
+        # --classify) that needs a solvable system, not a verdict
         print(f"netctrl: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"netctrl: {exc}", file=_sys.stderr)
+    except MemoryError as exc:
+        print("netctrl: not enough memory" + (f": {exc}" if str(exc) else ""),
+              file=_sys.stderr)
         return EXIT_USAGE
 
 

@@ -18,15 +18,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import flow
+from .flow import PreconditionError
 from .system import StructuredSystem, ValidationError, build_graph
 
 
 class SingularSampleError(RuntimeError):
     """Every attempted frequency sample was too close to an eigenvalue."""
-
-
-class PreconditionError(RuntimeError):
-    """Numeric operation invoked on an instance that cannot support it."""
 
 
 DEFAULT_REL_TOL = 1e-9
@@ -239,6 +236,12 @@ class TrajectoryTask:
     max_error: Optional[float] = None
     grid_error: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("horizon", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be a finite positive number, got {value}")
+
 
 def default_reference(p: int) -> Callable[[np.ndarray], np.ndarray]:
     """A smooth vanishing-at-zero reference with p independent components."""
@@ -293,9 +296,12 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
     Raises:
         PreconditionError: if the instance is not right invertible
             (transfer rank below the number of outputs).
-        ValidationError: if the reference does not vanish at t = 0.
+        ValidationError: if the instance has no outputs, or the reference
+            does not vanish at t = 0.
     """
     p, m, n = inst.p, inst.m, inst.n
+    if p == 0:
+        raise ValidationError("nothing to track: the system has no targets or outputs")
     if transfer_rank(inst) != p:
         raise PreconditionError(
             "instance is not right invertible; trajectories cannot be tracked"
@@ -427,6 +433,8 @@ def cross_validate(
     one, so any disagreement indicates a bug or an ill-conditioned draw and
     is reported per trial rather than averaged away.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     structural = structural_transfer_rank(sys)
     reports = []
     for k in range(trials):

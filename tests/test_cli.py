@@ -214,3 +214,44 @@ class TestErrorsAndDeterminism:
         path.write_text(system_to_json(steering_system))
         assert main(["separator", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["separator"] == ["x1", "x5"]
+
+
+class TestRejectedRequests:
+    """Requests that cannot be answered exit 2 with one line on stderr;
+    exit 1 stays reserved for negative verdicts."""
+
+    @staticmethod
+    def one_line_error(capsys, expected):
+        err = capsys.readouterr().err
+        assert err.startswith("netctrl: ") and err.count("\n") == 1, err
+        assert expected in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_without_trials(self, steering_file, trials, capsys):
+        assert main(["verify", steering_file, "--trials", trials]) == 2
+        self.one_line_error(capsys, "trials must be at least 1")
+
+    @pytest.mark.parametrize("option", ["--dt", "--horizon"])
+    def test_track_zero_step(self, network_file, option, capsys):
+        assert main(["track", network_file, option, "0"]) == 2
+        self.one_line_error(capsys, "must be a finite positive number")
+
+    def test_track_without_targets(self, chain_file, capsys):
+        assert main(["track", chain_file]) == 2
+        self.one_line_error(capsys, "no targets or outputs")
+
+    def test_export_dot_classify_unsolvable(self, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        path.write_text("n 3\navailable 1\ntargets 3\n")
+        assert main(["export-dot", str(path), "--classify"]) == 2
+        self.one_line_error(capsys, "no admissible steering set")
+
+    def test_verify_out_of_memory(self, steering_file, monkeypatch, capsys):
+        import netctrl.numeric
+
+        def instantiate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(netctrl.numeric, "instantiate", instantiate)
+        assert main(["verify", steering_file]) == 2
+        self.one_line_error(capsys, "not enough memory: Unable to allocate")

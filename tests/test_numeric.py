@@ -181,6 +181,18 @@ class TestTracking:
         with pytest.raises(PreconditionError):
             track_trajectory(inst, task)
 
+    def test_one_precondition_error_class(self, chain_system):
+        import netctrl
+
+        assert netctrl.PreconditionError is netctrl.numeric.PreconditionError
+        sys_ = StructuredSystem(
+            n=4, state_edges=chain_system.state_edges,
+            explicit_inputs=((1,),), targets=(3, 4),
+        )
+        task = TrajectoryTask(horizon=1.0, dt=0.01, reference=default_reference(2))
+        with pytest.raises(netctrl.PreconditionError):
+            track_trajectory(instantiate(sys_, seed=0), task)
+
     def test_nonvanishing_reference_rejected(self, io_instance):
         task = TrajectoryTask(
             horizon=1.0, dt=0.01,

@@ -1,14 +1,17 @@
 """Property-based checks of the combinatorial invariants on random graphs."""
 
+import math
 import random
 
 import hypothesis.strategies as st
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
 from netctrl import (
     StructuredSystem,
     build_auxiliary_graph,
+    build_graph,
     instantiate,
     max_flow,
     max_linking_size,
@@ -19,9 +22,12 @@ from netctrl import (
     serialize_system,
     transfer_rank,
 )
+from netctrl import flow
+from netctrl.flow import essential_start_analysis
 
 from .conftest import random_system
 from .oracles import (
+    bf_classify,
     bf_max_linking_size,
     bf_minimum_separators,
     is_separator,
@@ -58,6 +64,21 @@ def systems(draw):
     )
 
 
+def assert_valid_linking(linking, adj, available, targets):
+    """Disjoint, direct paths along real edges from A to T."""
+    a_set, t_set = set(available), set(targets)
+    seen = set()
+    for path in linking.paths:
+        assert len(set(path)) == len(path)
+        assert path[0] in a_set and path[-1] in t_set
+        assert all(v not in a_set for v in path[1:])
+        assert all(v not in t_set for v in path[:-1])
+        for u, v in zip(path, path[1:]):
+            assert v in adj[u]
+        assert not (set(path) & seen)
+        seen |= set(path)
+
+
 class TestRoundTrip:
     @given(systems())
     def test_parse_serialize_identity(self, sys_):
@@ -77,18 +98,8 @@ class TestLinkingAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
     def test_linking_paths_are_valid(self, case):
         adj, available, targets = case
-        linking = maximum_linking(adj, available, targets)
-        a_set, t_set = set(available), set(targets)
-        seen = set()
-        for path in linking.paths:
-            assert len(set(path)) == len(path)
-            assert path[0] in a_set and path[-1] in t_set
-            assert all(v not in a_set for v in path[1:])
-            assert all(v not in t_set for v in path[:-1])
-            for u, v in zip(path, path[1:]):
-                assert v in adj[u]
-            assert not (set(path) & seen)
-            seen |= set(path)
+        assert_valid_linking(maximum_linking(adj, available, targets), adj,
+                             available, targets)
 
 
 class TestSeparatorProperties:
@@ -270,3 +281,93 @@ class TestComplexityGrowth:
         t_large = best_runtime(8000, seed=5)
         # quadratic growth would allow 4x; generous slack for timer noise
         assert t_large <= 8.0 * t_small + 0.05
+
+
+def both_kernels(op, *args):
+    """``op``'s answer from the pure-Python kernel and from the CSR kernel,
+    each forced by moving the size cutoff that chooses between them."""
+    answers = []
+    for cutoff in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
+            answers.append(op(*args))
+    return answers
+
+
+def nx_linking_size(adj, available, targets):
+    """Max linking size by networkx on a node-split network built here."""
+    a_set, t_set = set(available), set(targets)
+    g = nx.DiGraph()
+    for v, succs in adj.items():
+        g.add_edge((v, 0), (v, 1), capacity=1)
+        if v in t_set:
+            continue
+        for w in succs:
+            if w not in a_set:
+                g.add_edge((v, 1), (w, 0))  # no capacity: unbounded
+    for a in a_set:
+        g.add_edge("s", (a, 0))
+    for t in t_set:
+        g.add_edge((t, 1), "t")
+    return nx.maximum_flow_value(g, "s", "t")
+
+
+class TestKernelsAgree:
+    """Both flow kernels give the same value, separator and essential set,
+    and both linkings are valid, on int and on tuple labels."""
+
+    @staticmethod
+    def check(adj, available, targets, expected_size):
+        sizes = both_kernels(max_linking_size, adj, available, targets)
+        assert sizes == [expected_size, expected_size]
+        py_sep, csr_sep = both_kernels(minimal_left_separator, adj, available,
+                                       targets)
+        assert py_sep == csr_sep and len(csr_sep) == expected_size
+        py_ess, csr_ess = both_kernels(essential_start_analysis, adj,
+                                       available, targets)
+        assert py_ess == csr_ess
+        for linking in both_kernels(maximum_linking, adj, available, targets):
+            assert linking.size == expected_size
+            assert_valid_linking(linking, adj, available, targets)
+        return csr_sep, csr_ess
+
+    def test_small_graphs_against_oracles(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            sys_ = random_system(rng, max_n=10, max_available=10, max_targets=5,
+                                 edge_factor=2.0)
+            adj, available, targets = (sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+            size = bf_max_linking_size(adj, set(available), set(targets))
+            sep, (value, essential, _) = self.check(adj, available, targets, size)
+            assert is_separator(adj, set(available), set(targets), sep)
+            if value == len(targets):
+                labels = bf_classify(adj, available, targets)
+                assert essential == {a for a, c in labels.items()
+                                     if c == "essential"}
+
+    def test_large_graphs_against_networkx(self):
+        rng = random.Random(12)
+        for _ in range(5):
+            sys_ = random_system(rng, max_n=2000, max_available=200,
+                                 max_targets=5, edge_factor=3.0)
+            adj, available, targets = (sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+            self.check(adj, available, targets,
+                       nx_linking_size(adj, available, targets))
+
+    def test_tuple_labels(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            base = random_system(rng, max_n=40, edge_factor=2.5)
+            n = base.n
+            sys_ = StructuredSystem(
+                n=n, state_edges=base.state_edges,
+                explicit_inputs=tuple((rng.randint(1, n),) for _ in range(3)),
+                explicit_outputs=tuple((rng.randint(1, n),) for _ in range(2)),
+            )
+            g = build_graph(sys_)
+            adj = g.adjacency()
+            inputs = [("u", k) for k in g.input_nodes]
+            outputs = [("y", l) for l in g.output_nodes]
+            self.check(adj, inputs, outputs, nx_linking_size(adj, inputs, outputs))
