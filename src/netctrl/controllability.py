@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import flow
 from .flow import Linking
-from .system import StructuredSystem, ValidationError, build_graph
+from .system import StructuredSystem, ValidationError, linking_graph
 
 
 class UnsolvableError(RuntimeError):
@@ -191,11 +191,8 @@ def is_functional_output_controllable(sys: StructuredSystem) -> FunctionalVerdic
     """
     if not sys.explicit_inputs or not sys.explicit_outputs:
         raise ValidationError("explicit input and output patterns are required")
-    g = build_graph(sys)
-    adjacency = g.adjacency()
-    inputs = [("u", k) for k in g.input_nodes]
-    outputs = [("y", l) for l in g.output_nodes]
-    linking = flow.maximum_linking(adjacency, inputs, outputs)
+    graph, inputs, outputs = linking_graph(sys)
+    linking = flow.maximum_linking(graph, inputs, outputs)
     ok = linking.size == len(outputs)
     return FunctionalVerdict(
         controllable=ok,

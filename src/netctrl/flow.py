@@ -8,26 +8,30 @@ vertex-disjoint direct paths from the available set to the target set, and the
 source side of the minimal cut found by the labelling procedure yields the
 minimal left separator.
 
-All operations are pure functions; inputs are never mutated.  Graphs are plain
+All operations are pure functions; inputs are never mutated.  Graphs are
 successor mappings ``{node: sequence_of_successors}`` whose keys must cover
-every node and be mutually orderable (ints, or like-shaped tuples).
+every node and be mutually orderable (ints, or like-shaped tuples): plain
+dicts, or a :class:`StateGraph`, which holds a digraph on nodes 1..n as its
+edge arrays.
 
 Two kernels solve these networks.  Small ones go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), whose fixed cost
 per call is a few microseconds.  Networks with at least ``CSR_MIN_ARCS`` split
 and edge arcs are flattened to CSR arrays and solved by scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
-however small the network but is several times faster on large ones.  Both
-return the same flow value, separator and essential set; the linkings they
-return are both maximum but may differ.
+however small the network but is several times faster on large ones; a
+StateGraph's arrays go to it as they are.  Both return the same flow value,
+separator and essential set; the linkings they return are both maximum but
+may differ.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -156,6 +160,48 @@ class Linking:
 
     def as_lists(self) -> list[list]:
         return [list(p) for p in self.paths]
+
+
+class StateGraph(Mapping):
+    """Read-only successor mapping of a digraph on the nodes 1..n, held as
+    its edge arrays.
+
+    ``tails`` and ``heads`` are the 0-based endpoints of the distinct edges,
+    sorted by tail, then head; the caller hands them over read-only and they
+    are shared, never copied.  Looking node v up returns its successors as a
+    tuple of ints, as a successor dict does; the CSR kernel reads the arrays
+    directly instead.
+    """
+
+    __slots__ = ("labels", "tails", "heads", "_starts")
+
+    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray):
+        self.labels = range(1, n + 1)
+        self.tails = tails
+        self.heads = heads
+        self._starts = None  # per node, its first edge; built on first lookup
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __contains__(self, node) -> bool:
+        try:
+            return operator.index(node) in self.labels
+        except TypeError:
+            return False
+
+    def __getitem__(self, node) -> tuple[int, ...]:
+        if node not in self:
+            raise KeyError(node)
+        if self._starts is None:
+            self._starts = np.searchsorted(self.tails,
+                                           np.arange(len(self.labels) + 1))
+        k = operator.index(node) - 1
+        return tuple((self.heads[self._starts[k]:self._starts[k + 1]] + 1)
+                     .tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +477,19 @@ def extract_linking(aux: AuxiliaryGraph, flow: Flow) -> Linking:
 
 def _is_large(graph: Mapping[Node, Sequence[Node]]) -> bool:
     """Whether networks over ``graph`` are solved by the CSR kernel."""
+    if isinstance(graph, StateGraph):
+        return len(graph) + len(graph.tails) >= CSR_MIN_ARCS
     return len(graph) + sum(map(len, graph.values())) >= CSR_MIN_ARCS
 
 
 def _flatten(graph: Mapping[Node, Sequence[Node]]):
-    """Labels ascending, a label -> position mapper (see :func:`_indexer`),
-    and the distinct edges as (tail, head) position arrays ordered by tail,
-    then head."""
-    labels = sorted(graph)
+    """Labels ascending (a range when they are consecutive ints), a label ->
+    position mapper (see :func:`_indexer`), and the distinct edges as (tail,
+    head) position arrays ordered by tail, then head.  A StateGraph hands
+    over its own arrays."""
+    if isinstance(graph, StateGraph):
+        return graph.labels, _indexer(graph.labels), graph.tails, graph.heads
+    labels = _as_range(sorted(graph))
     n = len(labels)
     positions = _indexer(labels)
     succs = list(map(graph.__getitem__, labels))
@@ -450,22 +501,30 @@ def _flatten(graph: Mapping[Node, Sequence[Node]]):
     return labels, positions, keys // max(n, 1), keys % max(n, 1)
 
 
-def _indexer(labels: list):
-    """A function from an iterable of nodes to their positions in the
-    ascending ``labels`` (an int64 array), raising ValueError for a node that
-    is not a label.  Consecutive int labels (state graphs number nodes 1..n)
-    are found by subtraction, any others through a dict."""
+def _as_range(labels: list):
+    """Ascending ``labels`` as a range if they are consecutive ints (state
+    graphs number their nodes 1..n), else unchanged."""
     try:
         keys = np.asarray(labels)
     except ValueError:  # tuples of unequal lengths
-        keys = np.empty(0)
+        return labels
     if keys.ndim == 1 and keys.dtype.kind in "iu" and (
             keys[-1] - keys[0] == len(keys) - 1):
-        first = int(keys[0])
+        return range(int(keys[0]), int(keys[-1]) + 1)
+    return labels
+
+
+def _indexer(labels):
+    """A function from an iterable of nodes to their positions in the
+    ascending ``labels`` (an int64 array), raising ValueError for a node that
+    is not a label.  Positions in a range are found by subtraction, any
+    others through a dict."""
+    if isinstance(labels, range):
+        first, n = labels.start, len(labels)
 
         def positions(nodes, count=-1):
             pos = np.fromiter(nodes, np.int64, count) - first
-            missing = (pos < 0) | (pos >= len(keys))
+            missing = (pos < 0) | (pos >= n)
             if missing.any():
                 raise ValueError(f"node {int(pos[missing][0]) + first} not in graph")
             return pos
@@ -478,6 +537,13 @@ def _indexer(labels: list):
         except KeyError as exc:
             raise ValueError(f"node {exc.args[0]!r} not in graph") from None
     return positions
+
+
+def _labels_at(labels, pos: np.ndarray) -> list:
+    """The labels at the positions ``pos``, in that order."""
+    if isinstance(labels, range):
+        return (pos + labels.start).tolist()
+    return [labels[k] for k in pos.tolist()]
 
 
 class _CsrFlow:
@@ -532,7 +598,7 @@ class _CsrFlow:
     def separator(self) -> frozenset:
         mask = self.labelled()
         cut = mask[0:self.source:2] & ~mask[1:self.source:2]
-        return frozenset(self.labels[k] for k in np.flatnonzero(cut).tolist())
+        return frozenset(_labels_at(self.labels, np.flatnonzero(cut)))
 
     def linking(self) -> Linking:
         """Paths read by walking arcs with positive flow from the source.
@@ -596,7 +662,7 @@ def _csr_essential(
     reach = np.zeros(n + 1, dtype=bool)
     reach[breadth_first_order(reverse, n, return_predecessors=False)] = True
     reach = reach[:n]
-    reaches = frozenset(labels[k] for k in np.flatnonzero(reach).tolist())
+    reaches = frozenset(_labels_at(labels, np.flatnonzero(reach)))
     live = sources[reach[sources]]
     if not len(live):
         return 0, frozenset(), reaches
@@ -604,7 +670,7 @@ def _csr_essential(
     keep = reach[heads]
     net = _CsrFlow(labels, tails[keep], heads[keep], live, sinks, 1)
     essential = live[~net.labelled()[2 * live]]
-    return net.value, frozenset(labels[k] for k in essential.tolist()), reaches
+    return net.value, frozenset(_labels_at(labels, essential)), reaches
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from . import flow
 from .flow import PreconditionError
-from .system import StructuredSystem, ValidationError, build_graph
+from .system import StructuredSystem, ValidationError, linking_graph
 
 
 class SingularSampleError(RuntimeError):
@@ -410,14 +410,7 @@ class TrialReport:
 
 def structural_transfer_rank(sys: StructuredSystem) -> int:
     """Generic transfer rank from the graph: the maximum linking size."""
-    if sys.explicit_inputs and sys.explicit_outputs:
-        g = build_graph(sys)
-        return flow.max_linking_size(
-            g.adjacency(),
-            [("u", k) for k in g.input_nodes],
-            [("y", l) for l in g.output_nodes],
-        )
-    return flow.max_linking_size(sys.state_adjacency(), sys.available, sys.targets)
+    return flow.max_linking_size(*linking_graph(sys))
 
 
 def cross_validate(

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
+
+from . import flow
 
 
 class ParseError(ValueError):
@@ -125,8 +131,31 @@ class StructuredSystem:
         """Number of explicit outputs, falling back to the target count."""
         return len(self.explicit_outputs) if self.explicit_outputs else len(self.targets)
 
-    def state_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Successor map of the state graph, every node 1..n present as a key."""
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_edge_arrays", None)  # rebuilt on demand, not pickled
+        return state
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based tails and heads of ``state_edges``, in its order (sorted,
+        distinct), read-only; built on first use and kept.  int32 halves what
+        every large system keeps; the CSR kernel indexes in int32 anyway."""
+        ends = np.fromiter(chain.from_iterable(self.state_edges), np.int32,
+                           2 * len(self.state_edges))
+        tails, heads = ends[0::2] - 1, ends[1::2] - 1
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
+
+    def state_adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Successor map of the state graph, every node 1..n present as a key.
+
+        A graph with at least ``flow.CSR_MIN_ARCS`` nodes plus edges comes as
+        a read-only :class:`flow.StateGraph` over the system's edge arrays,
+        which are built once per system; a smaller one as a fresh dict.
+        """
+        if self.n + len(self.state_edges) >= flow.CSR_MIN_ARCS:
+            return flow.StateGraph(self.n, *self._edge_arrays)
         succ: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
         for i, j in self.state_edges:
             succ[i].append(j)
@@ -184,6 +213,21 @@ def build_graph(sys: StructuredSystem) -> SystemGraph:
         output_nodes=tuple(range(1, len(sys.explicit_outputs) + 1)),
         edges=tuple(edges),
     )
+
+
+def linking_graph(sys: StructuredSystem) -> tuple[Mapping, Sequence, Sequence]:
+    """The graph, sources and sinks whose maximum linking size is the
+    system's generic transfer rank.
+
+    With explicit inputs and outputs, these are the system graph and its
+    input and output nodes; otherwise the state graph with the available and
+    target sets.
+    """
+    if sys.explicit_inputs and sys.explicit_outputs:
+        g = build_graph(sys)
+        return (g.adjacency(), [("u", k) for k in g.input_nodes],
+                [("y", l) for l in g.output_nodes])
+    return sys.state_adjacency(), sys.available, sys.targets
 
 
 # ---------------------------------------------------------------------------

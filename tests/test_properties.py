@@ -285,13 +285,34 @@ class TestComplexityGrowth:
 
 def both_kernels(op, *args):
     """``op``'s answer from the pure-Python kernel and from the CSR kernel,
-    each forced by moving the size cutoff that chooses between them."""
+    each forced by moving the size cutoff that chooses between them.  Spies
+    on both kernels' solvers check that the forced kernel is the one that
+    ran."""
     answers = []
-    for cutoff in (math.inf, 0):
+    for cutoff, forced, other in ((math.inf, "python", "csr"),
+                                  (0, "csr", "python")):
+        calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
-            answers.append(op(*args))
+            for kernel, solver in (("python", "_solve"), ("csr", "maximum_flow")):
+                mp.setattr(flow, solver, counted(getattr(flow, solver), calls,
+                                                 kernel))
+            answer = op(*args)
+        assert calls[other] == 0
+        # the essential analysis answers 0 without a flow when no available
+        # node reaches T
+        assert calls[forced] or (op is essential_start_analysis
+                                 and answer[0] == 0)
+        answers.append(answer)
     return answers
+
+
+def counted(fn, calls, key):
+    """``fn``, counting its calls in ``calls[key]``."""
+    def spy(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return spy
 
 
 def nx_linking_size(adj, available, targets):
@@ -371,3 +392,21 @@ class TestKernelsAgree:
             inputs = [("u", k) for k in g.input_nodes]
             outputs = [("y", l) for l in g.output_nodes]
             self.check(adj, inputs, outputs, nx_linking_size(adj, inputs, outputs))
+
+    def test_state_graph_view_against_its_dict(self):
+        # the CSR kernel reads a StateGraph's arrays directly and flattens a
+        # dict; both must give the same answers
+        rng = random.Random(14)
+        checked = 0
+        while checked < 5:
+            sys_ = random_system(rng, max_n=2000, max_available=200,
+                                 max_targets=5, edge_factor=3.0)
+            view = sys_.state_adjacency()
+            if not isinstance(view, flow.StateGraph):
+                continue
+            checked += 1
+            plain = dict(view)
+            for op in (max_linking_size, minimal_left_separator,
+                       essential_start_analysis, maximum_linking):
+                assert op(view, sys_.available, sys_.targets) == op(
+                    plain, sys_.available, sys_.targets)

@@ -1,8 +1,13 @@
 """System model: parsing, validation, graph construction, DOT export."""
 
+import copy
 import json
+import pickle
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given
 
 from netctrl import (
     ParseError,
@@ -15,6 +20,7 @@ from netctrl import (
     serialize_system,
     system_to_json,
 )
+from netctrl import flow
 
 STEERING_TEXT = """\
 # steering-selection example
@@ -189,3 +195,82 @@ class TestValidation:
     def test_edges_sorted_and_deduplicated(self):
         sys_ = StructuredSystem(n=3, state_edges=((2, 1), (1, 2), (2, 1)))
         assert sys_.state_edges == ((1, 2), (2, 1))
+
+
+def view_of(sys_):
+    """``sys_.state_adjacency()`` with the cutoff moved so that even a small
+    system returns its array-backed view."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "CSR_MIN_ARCS", 0)
+        view = sys_.state_adjacency()
+    assert isinstance(view, flow.StateGraph)
+    return view
+
+
+@st.composite
+def edge_lists(draw):
+    """n and an edge list that may hold self-loops, duplicates and nodes
+    without edges."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    nodes = st.integers(min_value=1, max_value=n)
+    return n, draw(st.lists(st.tuples(nodes, nodes), max_size=4 * n))
+
+
+class TestStateGraphView:
+    @given(edge_lists())
+    def test_view_equals_successor_dict(self, case):
+        n, edges = case
+        expected = {i: tuple(sorted({j for t, j in edges if t == i}))
+                    for i in range(1, n + 1)}
+        view = view_of(StructuredSystem(n=n, state_edges=tuple(edges)))
+        assert dict(view) == expected
+        assert view == expected and len(view) == n and list(view) == list(expected)
+
+    def test_chosen_by_size(self):
+        chain = tuple((i, i + 1) for i in range(1, 600))
+        large = StructuredSystem(n=600, state_edges=chain)
+        assert large.n + len(large.state_edges) >= flow.CSR_MIN_ARCS
+        assert isinstance(large.state_adjacency(), flow.StateGraph)
+        small = StructuredSystem(n=300, state_edges=chain[:299])
+        assert type(small.state_adjacency()) is dict
+
+    def test_missing_keys(self, steering_system):
+        view = view_of(steering_system)
+        for key in (0, 10, "x", None, (1,)):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+        assert view.get(10) is None
+
+    def test_numpy_int_keys(self, steering_system):
+        view = view_of(steering_system)
+        plain = dict(view)
+        for key in (np.int64(5), np.int32(3), np.uint8(9)):
+            assert key in view
+            assert view[key] == plain[key]
+
+    def test_values_are_tuples_of_python_ints(self, steering_system):
+        for succs in view_of(steering_system).values():
+            assert type(succs) is tuple
+            assert all(type(v) is int for v in succs)
+
+    def test_arrays_read_only(self, steering_system):
+        view = view_of(steering_system)
+        for arr in (view.tails, view.heads):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_arrays_built_once(self, steering_system):
+        first, second = view_of(steering_system), view_of(steering_system)
+        assert first.tails is second.tails and first.heads is second.heads
+
+    def test_identity_unchanged_by_cache(self, steering_system):
+        before = hash(steering_system)
+        twin = copy.copy(steering_system)
+        view_of(steering_system)
+        assert hash(steering_system) == before == hash(twin)
+        assert steering_system == twin
+        again = pickle.loads(pickle.dumps(steering_system))
+        assert again == steering_system and hash(again) == before
+        assert not view_of(again).tails.flags.writeable
