@@ -20,9 +20,10 @@ per call is a few microseconds.  Networks with at least ``CSR_MIN_ARCS`` split
 and edge arcs are flattened to CSR arrays and solved by scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
 however small the network but is several times faster on large ones; a
-StateGraph's arrays go to it as they are.  Both return the same flow value,
-separator and essential set; the linkings they return are both maximum but
-may differ.
+StateGraph's arrays go to it as they are.  Dinic starts from the smaller
+terminal set: with fewer targets than sources it solves the reversed network
+from the sink.  Both kernels return the same flow value, separator and
+essential set; the linkings they return are both maximum but may differ.
 """
 
 from __future__ import annotations
@@ -581,10 +582,21 @@ class _CsrFlow:
         cap[indptr[self.source]:] = source_cap
         self.capacity = csr_array((cap, indices, indptr.astype(np.int32)),
                                   shape=(2 * n + 2, 2 * n + 2))
-        result = maximum_flow(self.capacity, self.source, self.sink,
-                              method="dinic")
+        # Dinic searches breadth-first from the terminal it starts at, in
+        # every phase, so it is started at the smaller terminal set: with
+        # many sources and few sinks the sources' side spans most of a large
+        # graph, the sinks' side does not.  From the sink it solves the
+        # reversed network, and the flow is antisymmetric, so the forward
+        # flow is the negated reverse one.
+        if len(sinks) < len(sources):
+            result = maximum_flow(csr_array(self.capacity.T), self.sink,
+                                  self.source, method="dinic")
+            self.flow = -result.flow
+        else:
+            result = maximum_flow(self.capacity, self.source, self.sink,
+                                  method="dinic")
+            self.flow = result.flow
         self.value = int(result.flow_value)
-        self.flow = result.flow
 
     def labelled(self) -> np.ndarray:
         """Mask of the nodes reachable from the source in the residual graph."""

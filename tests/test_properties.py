@@ -393,6 +393,29 @@ class TestKernelsAgree:
             outputs = [("y", l) for l in g.output_nodes]
             self.check(adj, inputs, outputs, nx_linking_size(adj, inputs, outputs))
 
+    def test_both_search_directions(self, monkeypatch):
+        # the CSR kernel starts Dinic at the sink when there are fewer
+        # targets than sources and at the source otherwise; both must agree
+        # with the Python kernel and networkx
+        starts = []
+        solve = flow.maximum_flow
+
+        def spy(capacity, source, sink, **kwargs):
+            # the sink is numbered after the source
+            starts.append("sink" if source > sink else "source")
+            return solve(capacity, source, sink, **kwargs)
+
+        monkeypatch.setattr(flow, "maximum_flow", spy)
+        rng = random.Random(15)
+        for _ in range(30):
+            sys_ = random_system(rng, max_n=300, max_available=30,
+                                 max_targets=30, edge_factor=3.0)
+            adj, available, targets = (sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+            self.check(adj, available, targets,
+                       nx_linking_size(adj, available, targets))
+        assert starts.count("sink") >= 10 and starts.count("source") >= 10
+
     def test_state_graph_view_against_its_dict(self):
         # the CSR kernel reads a StateGraph's arrays directly and flattens a
         # dict; both must give the same answers
