@@ -62,7 +62,12 @@ def _default_seed() -> int:
 
 def _load(path: str) -> StructuredSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at "
+                             f"byte {exc.start}") from None
+    return parse_system(text)
 
 
 def _emit(payload: dict, as_json: bool, human: str) -> None:

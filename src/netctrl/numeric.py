@@ -78,6 +78,8 @@ def instantiate(
     lo, hi = value_range
     if not (0 < lo <= hi):
         raise ValidationError(f"value_range must satisfy 0 < lo <= hi, got {value_range}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw() -> float:
@@ -311,22 +313,34 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
         raise ValidationError("reference trajectory must vanish at t = 0")
 
     dt = task.dt
-    steps = int(round(task.horizon / dt))
-    if steps < 1:
-        raise ValidationError("horizon must cover at least one step")
-    Ad, Bd = discretize_zoh(inst.A, inst.B, dt)
-
-    markov = np.empty((steps, p, m))
-    X = Bd.copy()
-    for k in range(steps):
-        markov[k] = inst.C @ X
-        X = Ad @ X
-
-    times = dt * np.arange(steps + 1)
-    ref = np.asarray(task.reference(times), dtype=float).reshape(steps + 1, p)
+    ratio = task.horizon / dt
+    # the least-squares matrix G below holds (steps * p) x (steps * m) floats
+    if ratio * ratio * p * m * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"horizon / dt asks for {ratio:.3g} steps, too many to solve")
+    steps = int(round(ratio))
+    r = relative_degree(inst)
+    if steps < r:
+        raise ValidationError(
+            f"horizon covers {steps} step(s), fewer than the {r} startup step(s)")
+    # allocated first, so that a task too large for memory fails at once
+    G = np.zeros((steps, p, steps, m))
+    # a large dt or horizon overflows to inf or nan, tested for below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ad, Bd = discretize_zoh(inst.A, inst.B, dt)
+        markov = np.empty((steps, p, m))
+        X = Bd.copy()
+        for k in range(steps):
+            markov[k] = inst.C @ X
+            X = Ad @ X
+        times = dt * np.arange(steps + 1)
+        ref = np.asarray(task.reference(times), dtype=float).reshape(steps + 1, p)
+    if not (np.isfinite(markov).all() and np.isfinite(ref).all()):
+        raise ValidationError(
+            f"dt {dt} and horizon {task.horizon} overflow the sampled "
+            "dynamics or the reference")
 
     # y_k = sum_{j<k} markov[k-1-j] u_j: block-Toeplitz least squares
-    G = np.zeros((steps, p, steps, m))
     for d in range(steps):
         rows = np.arange(d, steps)
         G[rows, :, rows - d, :] = markov[d]
@@ -335,7 +349,6 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
 
     outputs = np.vstack([np.zeros((1, p)), (G @ u.reshape(-1)).reshape(steps, p)])
 
-    r = relative_degree(inst)
     grid_error = float(np.abs(outputs[r:] - ref[r:]).max())
 
     # substep simulation of the continuous inter-sample response

@@ -39,6 +39,10 @@ class ValidationError(ValueError):
 # Graph node labels: ("x", i) state, ("u", k) input, ("y", l) output.
 GraphNode = tuple[str, int]
 
+# Largest n: the CSR flow kernel numbers the 2n + 2 nodes of a node-split
+# network, and the system keeps its edge endpoints, as int32.
+MAX_N = (np.iinfo(np.int32).max - 2) // 2
+
 
 def node_name(node: GraphNode) -> str:
     """Render a graph node label as e.g. ``x3``, ``u1``, ``y2``."""
@@ -91,6 +95,8 @@ class StructuredSystem:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > MAX_N:
+            raise ValidationError(f"n must be at most {MAX_N}, got {self.n}")
         edges: set[tuple[int, int]] = set()
         for e in self.state_edges:
             i, j = e
@@ -344,23 +350,38 @@ def _from_json(text: str) -> StructuredSystem:
     unknown = set(data) - known
     if unknown:
         raise ParseError(f"unknown JSON fields: {sorted(unknown)}")
-    try:
-        return StructuredSystem(
-            n=data["n"],
-            state_edges=tuple((int(i), int(j)) for i, j in data.get("state_edges", ())),
-            available=tuple(int(v) for v in data.get("available", ())),
-            targets=tuple(int(v) for v in data.get("targets", ())),
-            explicit_inputs=tuple(
-                tuple(int(v) for v in col) for col in data.get("explicit_inputs", ())
-            ),
-            explicit_outputs=tuple(
-                tuple(int(v) for v in row) for row in data.get("explicit_outputs", ())
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ParseError(f"malformed JSON system: {exc}") from None
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"'n' must be an integer, got {json.dumps(n)[:40]}")
+    edges = _json_rows(data.get("state_edges", []), "'state_edges'")
+    if any(len(e) != 2 for e in edges):
+        raise ParseError("every 'state_edges' entry must be a pair [i, j]")
+    return StructuredSystem(
+        n=n,
+        state_edges=edges,
+        available=_json_ints(data.get("available", []), "'available'"),
+        targets=_json_ints(data.get("targets", []), "'targets'"),
+        explicit_inputs=_json_rows(data.get("explicit_inputs", []),
+                                   "'explicit_inputs'"),
+        explicit_outputs=_json_rows(data.get("explicit_outputs", []),
+                                    "'explicit_outputs'"),
+    )
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple.  Strings, booleans, numbers with
+    a fraction and anything that is not an array are rejected, not coerced."""
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ParseError(f"{what} must be an array of integers")
+    return tuple(value)
+
+
+def _json_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON array of arrays of integers as a tuple of tuples."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array of arrays of integers")
+    return tuple(_json_ints(row, f"every entry of {what}") for row in value)
 
 
 def serialize_system(sys: StructuredSystem) -> str:

@@ -1,10 +1,18 @@
 """Command-line interface: grammar, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from netctrl.cli import main
+
+SAMPLES = sorted(str(p) for p in
+                 (Path(__file__).parent.parent / "samples").glob("*.sys"))
 
 STEERING_TEXT = """\
 n 9
@@ -255,3 +263,145 @@ class TestRejectedRequests:
         monkeypatch.setattr(netctrl.numeric, "instantiate", instantiate)
         assert main(["verify", steering_file]) == 2
         self.one_line_error(capsys, "not enough memory: Unable to allocate")
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.sys"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["classify", str(path)]) == 2
+        self.one_line_error(capsys, "is not UTF-8 text")
+
+    @pytest.mark.parametrize("text", [
+        "n 99999999999999999999\n",
+        "n 3000000000\nedge 1 2999999999\navailable 1\ntargets 2999999999\n",
+    ])
+    def test_n_beyond_int32_node_ids(self, tmp_path, text, capsys):
+        path = tmp_path / "huge.sys"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        self.one_line_error(capsys, "n must be at most 1073741822")
+
+    @pytest.mark.parametrize("horizon, dt, expected", [
+        ("1e308", "1e-10", "too many to solve"),
+        ("1e308", "1", "too many to solve"),
+        ("1e308", "1e308", "overflow the sampled dynamics"),
+    ])
+    def test_track_step_count_out_of_reach(self, network_file, horizon, dt,
+                                           expected, capsys):
+        assert main(["track", network_file, "--horizon", horizon,
+                     "--dt", dt]) == 2
+        self.one_line_error(capsys, expected)
+
+    def test_track_shorter_than_startup(self, steering_file, capsys):
+        # the output of the steering example answers its inputs only after
+        # three steps
+        assert main(["track", steering_file, "--horizon", "0.2",
+                     "--dt", "0.1"]) == 2
+        self.one_line_error(capsys, "fewer than the 3 startup step(s)")
+
+    @pytest.mark.parametrize("command", ["verify", "track"])
+    def test_negative_seed(self, network_file, command, capsys):
+        assert main([command, network_file, "--seed", "-1"]) == 2
+        self.one_line_error(capsys, "seed must be a non-negative integer")
+
+
+# --- fuzzing: any argv over any file exits 0, 1 or 2 and never raises ---
+
+DEGENERATE = ["0", "-1", "nan", "inf", "1e308"]
+
+
+@st.composite
+def system_files(draw):
+    """A small system with n <= 40, in the line format or as JSON; now and
+    then its available and target nodes may fall just outside 1..n."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    node = st.integers(min_value=1, max_value=n)
+    spill = draw(st.sampled_from([0, 0, 0, 1]))
+    member = st.integers(min_value=1 - spill, max_value=n + spill)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    available = draw(st.lists(member, max_size=6, unique=True))
+    targets = draw(st.lists(member, max_size=4, unique=True))
+    inputs = draw(st.lists(st.lists(node, min_size=1, max_size=3, unique=True),
+                           max_size=3))
+    outputs = draw(st.lists(st.lists(node, min_size=1, max_size=3, unique=True),
+                            max_size=3))
+    if draw(st.booleans()):
+        return json.dumps({"n": n, "state_edges": edges, "available": available,
+                           "targets": targets, "explicit_inputs": inputs,
+                           "explicit_outputs": outputs}).encode()
+    lines = [f"n {n}"] + [f"edge {i} {j}" for i, j in edges]
+    lines.append("available " + " ".join(map(str, available)))
+    lines.append("targets " + " ".join(map(str, targets)))
+    lines += [f"input {k} " + " ".join(map(str, col))
+              for k, col in enumerate(inputs, start=1)]
+    lines += [f"output {k} " + " ".join(map(str, row))
+              for k, row in enumerate(outputs, start=1)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def option(name, values):
+    """``[name, value]`` for one of ``values``, or nothing."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+NODE_LISTS = st.lists(st.integers(min_value=-1, max_value=42).map(str),
+                      min_size=1, max_size=3)
+SEED = option("--seed", ["0", "7"] + DEGENERATE)
+# --trials <= 3 and, away from the degenerate values, horizon / dt <= 200
+# steps (the horizon is always given: the default of 5 is 500 steps at the
+# default dt) keep every example quick
+OPTIONS = {
+    "check": st.tuples(
+        st.one_of(st.just([]), NODE_LISTS.map(lambda v: ["--steering", *v])),
+        st.one_of(st.just([]), NODE_LISTS.map(lambda v: ["--targets", *v]))),
+    "solve": st.tuples(),
+    "classify": st.tuples(),
+    "linking": st.tuples(),
+    "separator": st.tuples(),
+    "structural": st.tuples(),
+    "verify": st.tuples(SEED, option("--trials", ["1", "2", "3"] + DEGENERATE),
+                        option("--tol", ["1e-9", "0.5"] + DEGENERATE)),
+    "track": st.tuples(SEED, st.sampled_from(["0.5", "1", "2"] + DEGENERATE)
+                       .map(lambda v: ["--horizon", v]),
+                       option("--dt", ["0.01", "0.05", "0.1"] + DEGENERATE),
+                       option("--out", ["OUT", "MISSING"])),
+    "export-dot": st.tuples(st.sampled_from([[], ["--classify"]]),
+                            option("--out", ["OUT", "MISSING"])),
+}
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand, its options, and the file it reads: the path of a
+    sample, or the bytes (a generated system or random ones) of a file the
+    test writes."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    args = [a for group in draw(OPTIONS[command]) for a in group]
+    if draw(st.booleans()):
+        args.append("--json")
+    source = draw(st.one_of(st.sampled_from(SAMPLES), system_files(),
+                            st.binary(max_size=64)))
+    return command, args, source
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(invocations())
+    def test_exit_code_contract(self, fuzz_dir, invocation):
+        command, args, source = invocation
+        if isinstance(source, bytes):
+            path = fuzz_dir / "input.sys"
+            path.write_bytes(source)
+            source = str(path)
+        args = [str(fuzz_dir / "out") if a == "OUT" else
+                str(fuzz_dir / "missing" / "out") if a == "MISSING" else a
+                for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, source, *args])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

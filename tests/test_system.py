@@ -106,6 +106,16 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_system(json.dumps({"n": 2, "state_edges": [[1, 5]]}))
 
+    @pytest.mark.parametrize("fields", [
+        {"n": 3, "available": "12"},         # a string is not a node list
+        {"n": True},                         # a boolean is not an integer
+        {"n": 3, "state_edges": [[1, 2.5]]},  # nor is a number with a fraction
+        {"n": 3, "targets": ["3"]},          # nor a numeric string
+    ])
+    def test_json_rejects_values_it_would_have_to_coerce(self, fields):
+        with pytest.raises(ParseError):
+            parse_system(json.dumps(fields))
+
 
 class TestRoundTrip:
     def test_steering_example(self, steering_system):
