@@ -27,11 +27,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import flow
+from .errors import NetctrlError
 from .flow import Linking
 from .system import StructuredSystem, ValidationError, linking_graph
 
 
-class UnsolvableError(RuntimeError):
+class UnsolvableError(NetctrlError, RuntimeError):
     """No admissible steering set exists for the requested targets."""
 
     def __init__(self, achieved_size: int, required: int):
@@ -269,9 +270,11 @@ def classify_nodes(sys: StructuredSystem) -> NodeClassification:
 def _input_reachability(sys: StructuredSystem) -> set[int]:
     """State nodes reachable from at least one input (multi-source BFS)."""
     succ = sys.state_adjacency()
-    seeds: list[int] = []
-    for col in sys.explicit_inputs:
-        seeds.extend(col)
+    seeds = [i for col in sys.explicit_inputs for i in col]
+    if isinstance(succ, flow.StateGraph):
+        starts = np.unique(np.array(seeds, dtype=np.int64)) - 1
+        mask = flow.reachable(sys.n, succ.tails, succ.heads, starts)
+        return set((np.flatnonzero(mask) + 1).tolist())
     seen = set(seeds)
     queue = deque(seeds)
     while queue:
@@ -296,14 +299,12 @@ def generic_rank(sys: StructuredSystem) -> int:
 def _pattern_matching(sys: StructuredSystem) -> np.ndarray:
     """Row-to-column maximum matching of the [state|input] pattern."""
     n, m = sys.n, len(sys.explicit_inputs)
-    rows, cols = [], []
-    for i, j in sys.state_edges:
-        rows.append(j - 1)
-        cols.append(i - 1)
-    for k, col in enumerate(sys.explicit_inputs):
-        for i in col:
-            rows.append(i - 1)
-            cols.append(n + k)
+    tails, heads = sys._edge_arrays
+    inputs = [(i - 1, n + k) for k, col in enumerate(sys.explicit_inputs)
+              for i in col]
+    in_rows, in_cols = np.array(inputs, dtype=np.int64).reshape(-1, 2).T
+    rows = np.concatenate([heads, in_rows])
+    cols = np.concatenate([tails, in_cols])
     pattern = csr_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n + m)
     )

@@ -39,6 +39,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+from .errors import NetctrlError
+
 Node = Hashable
 
 SOURCE = "s"
@@ -54,7 +56,7 @@ SINK = "t"
 CSR_MIN_ARCS = 1000
 
 
-class PreconditionError(RuntimeError):
+class PreconditionError(NetctrlError, RuntimeError):
     """A caller-supplied object violates an operation's precondition."""
 
 
@@ -276,6 +278,12 @@ def _build_arrays(
     return labels, index, adj, head, cap, sink_arcs
 
 
+def _check_nodes(graph: Mapping[Node, Sequence[Node]], nodes: Iterable[Node]):
+    for v in nodes:
+        if v not in graph:
+            raise ValueError(f"node {v!r} not in graph")
+
+
 def build_auxiliary_graph(
     graph: Mapping[Node, Sequence[Node]],
     available: Iterable[Node],
@@ -290,9 +298,7 @@ def build_auxiliary_graph(
     """
     available = tuple(sorted(set(available)))
     targets = tuple(sorted(set(targets)))
-    for v in available + targets:
-        if v not in graph:
-            raise ValueError(f"node {v!r} not in graph")
+    _check_nodes(graph, available + targets)
     inf_cap = len(targets) + 1
     labels, _, adj, head, cap, sink_arcs = _build_arrays(
         graph, available, targets, inf_cap, inf_cap
@@ -631,6 +637,22 @@ def _csr_linking_flow(
                     len(sinks) + 1)
 
 
+def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
+              starts: np.ndarray) -> np.ndarray:
+    """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
+    along the arcs ``tails[k] -> heads[k]``: one breadth-first search from a
+    virtual node n with an arc to every start."""
+    graph = csr_array(
+        (np.ones(len(tails) + len(starts), dtype=np.int8),
+         (np.concatenate([tails, np.full(len(starts), n)]),
+          np.concatenate([heads, starts]))),
+        shape=(n + 1, n + 1),
+    )
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[breadth_first_order(graph, n, return_predecessors=False)] = True
+    return mask[:n]
+
+
 def _csr_essential(
     graph: Mapping[Node, Sequence[Node]],
     available: Iterable[Node],
@@ -639,17 +661,7 @@ def _csr_essential(
     """:func:`essential_start_analysis` on CSR arrays."""
     labels, positions, tails, heads = _flatten(graph)
     sources, sinks = np.unique(positions(available)), np.unique(positions(targets))
-    n = len(labels)
-    # reverse reachability to T, from a virtual node n pointing at every target
-    reverse = csr_array(
-        (np.ones(len(heads) + len(sinks), dtype=np.int8),
-         (np.concatenate([heads, np.full(len(sinks), n)]),
-          np.concatenate([tails, sinks]))),
-        shape=(n + 1, n + 1),
-    )
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[breadth_first_order(reverse, n, return_predecessors=False)] = True
-    reach = reach[:n]
+    reach = reachable(len(labels), heads, tails, sinks)  # backward from T
     reaches = frozenset(_labels_at(labels, np.flatnonzero(reach)))
     live = sources[reach[sources]]
     if not len(live):
@@ -747,6 +759,8 @@ def essential_start_analysis(
     """
     if _is_large(graph):
         return _csr_essential(graph, available, targets)
+    available, targets = tuple(available), tuple(targets)
+    _check_nodes(graph, available + targets)
     targets = set(targets)
 
     # reverse reachability to the target set (raw graph)

@@ -18,11 +18,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import flow
+from .errors import NetctrlError
 from .flow import PreconditionError
 from .system import StructuredSystem, ValidationError, linking_graph
 
 
-class SingularSampleError(RuntimeError):
+class SingularSampleError(NetctrlError, RuntimeError):
     """Every attempted frequency sample was too close to an eigenvalue."""
 
 
@@ -88,7 +89,7 @@ def instantiate(
 
     n = sys.n
     A = np.zeros((n, n))
-    for i, j in sys.state_edges:
+    for i, j in sys._edge_pairs():
         A[j - 1, i - 1] = draw()
 
     if sys.explicit_inputs:

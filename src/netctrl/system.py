@@ -12,17 +12,19 @@ x_1..x_n convention for network nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import flow
+from .errors import NetctrlError
 
 
-class ParseError(ValueError):
+class ParseError(NetctrlError, ValueError):
     """Malformed system file.  Carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: Optional[int] = None):
@@ -32,7 +34,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class ValidationError(ValueError):
+class ValidationError(NetctrlError, ValueError):
     """Structurally invalid system (index out of range, duplicate set member...)."""
 
 
@@ -50,16 +52,27 @@ def node_name(node: GraphNode) -> str:
     return f"{kind}{i}"
 
 
-def _check_index(i: int, n: int, what: str) -> None:
+def _is_integer(v) -> bool:
+    """A Python or numpy integer; booleans are not integers here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_index(i, n: int, what: str) -> int:
+    """``i`` as a Python int, after checking that it is an integer in 1..n."""
+    if type(i) is not int:
+        if not _is_integer(i):
+            raise ValidationError(f"{what} {i!r} is not an integer")
+        i = int(i)
     if not 1 <= i <= n:
         raise ValidationError(f"{what} {i} out of range 1..{n}")
+    return i
 
 
 def _ordered_set(values: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     out: list[int] = []
     seen: set[int] = set()
     for v in values:
-        _check_index(v, n, what)
+        v = _check_index(v, n, what)
         if v in seen:
             raise ValidationError(f"duplicate {what} {v}")
         seen.add(v)
@@ -67,14 +80,38 @@ def _ordered_set(values: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _edge_ends(edges, n: int) -> np.ndarray:
+    """The edges as an (e, 2) int64 array of endpoints in 1..n, in the given
+    order.  An integer array is checked with vectorised comparisons; anything
+    else endpoint by endpoint, so that a boolean or a float is rejected rather
+    than read as a number."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        ends = edges.reshape(-1, 2) if edges.size == 0 else edges
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValidationError(
+                f"state_edges must have shape (e, 2), got {edges.shape}")
+        if len(ends) and (ends.min() < 1 or ends.max() > n):
+            bad = ((ends < 1) | (ends > n)).ravel()
+            raise ValidationError(f"edge endpoint {ends.ravel()[bad.argmax()]} "
+                                  f"out of range 1..{n}")
+        return ends.astype(np.int64, copy=False)
+    flat: list[int] = []
+    for e in edges:
+        if len(e) != 2:
+            raise ValidationError(f"edge {e!r} is not a pair of nodes")
+        flat.append(_check_index(e[0], n, "edge endpoint"))
+        flat.append(_check_index(e[1], n, "edge endpoint"))
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+
+
 class StructuredSystem:
     """Sparsity pattern of a linear network plus available and target node sets.
 
     Fields:
         n: number of state nodes.
         state_edges: directed edges (i, j) meaning state i influences state j,
-            i.e. entry (j, i) of the state matrix is a free parameter.
+            i.e. entry (j, i) of the state matrix is a free parameter.  Given
+            as pairs or as an (e, 2) integer array; kept sorted and distinct.
         available: ordered set of admissible steering nodes.
         targets: ordered set of target nodes (may intersect ``available``).
         explicit_inputs: optional input columns; column k lists the state
@@ -82,49 +119,61 @@ class StructuredSystem:
         explicit_outputs: optional output rows; row l lists the state nodes
             read by output l.
 
+    Node indices must be Python or numpy integers; booleans and floats are
+    rejected.  The edges are held as two read-only int32 arrays, the 0-based
+    tails and heads sorted by tail, then head; ``state_edges``, the tuple of
+    1-based pairs, is derived from them on first use.
+
     Instances are immutable and safe to share across threads.
     """
 
-    n: int
-    state_edges: tuple[tuple[int, int], ...] = ()
-    available: tuple[int, ...] = ()
-    targets: tuple[int, ...] = ()
-    explicit_inputs: tuple[tuple[int, ...], ...] = ()
-    explicit_outputs: tuple[tuple[int, ...], ...] = ()
+    def __init__(
+        self,
+        n: int,
+        state_edges: Sequence[tuple[int, int]] | np.ndarray = (),
+        available: Iterable[int] = (),
+        targets: Iterable[int] = (),
+        explicit_inputs: Iterable[Iterable[int]] = (),
+        explicit_outputs: Iterable[Iterable[int]] = (),
+    ):
+        self.__dict__.update(n=n, available=available, targets=targets,
+                             explicit_inputs=explicit_inputs,
+                             explicit_outputs=explicit_outputs)
+        self.__post_init__(state_edges)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        if self.n > MAX_N:
-            raise ValidationError(f"n must be at most {MAX_N}, got {self.n}")
-        edges: set[tuple[int, int]] = set()
-        for e in self.state_edges:
-            i, j = e
-            _check_index(i, self.n, "edge endpoint")
-            _check_index(j, self.n, "edge endpoint")
-            edges.add((int(i), int(j)))  # parallel edges collapse
-        object.__setattr__(self, "state_edges", tuple(sorted(edges)))
-        object.__setattr__(
-            self, "available", _ordered_set(self.available, self.n, "available node")
-        )
-        object.__setattr__(
-            self, "targets", _ordered_set(self.targets, self.n, "target node")
-        )
-        object.__setattr__(
-            self,
-            "explicit_inputs",
-            tuple(
-                tuple(sorted(_ordered_set(col, self.n, "input node")))
-                for col in self.explicit_inputs
-            ),
-        )
-        object.__setattr__(
-            self,
-            "explicit_outputs",
-            tuple(
-                tuple(sorted(_ordered_set(row, self.n, "output node")))
-                for row in self.explicit_outputs
-            ),
+    def __post_init__(self, state_edges):
+        """Validate and normalise the fields; sort and deduplicate the edges."""
+        n = self.n
+        if not _is_integer(n) or n < 1:
+            raise ValidationError(f"n must be a positive integer, got {n!r}")
+        if n > MAX_N:
+            raise ValidationError(f"n must be at most {MAX_N}, got {n}")
+        n = int(n)
+        ends = _edge_ends(state_edges, n)
+        # parallel edges collapse: sort by the key (tail - 1) * n + head - 1
+        # and keep the first of each run
+        keys = ends[:, 0] * n
+        keys += ends[:, 1]
+        keys -= n + 1
+        keys.sort()
+        if len(keys) > 1:
+            first = np.empty(len(keys), dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
+        tails, heads = (a.astype(np.int32) for a in np.divmod(keys, n))
+        tails.flags.writeable = heads.flags.writeable = False
+        self.__dict__.update(
+            n=n,
+            _edge_arrays=(tails, heads),
+            available=_ordered_set(self.available, n, "available node"),
+            targets=_ordered_set(self.targets, n, "target node"),
+            explicit_inputs=tuple(
+                tuple(sorted(_ordered_set(col, n, "input node")))
+                for col in self.explicit_inputs),
+            explicit_outputs=tuple(
+                tuple(sorted(_ordered_set(row, n, "output node")))
+                for row in self.explicit_outputs),
         )
 
     @property
@@ -137,31 +186,65 @@ class StructuredSystem:
         """Number of explicit outputs, falling back to the target count."""
         return len(self.explicit_outputs) if self.explicit_outputs else len(self.targets)
 
+    @cached_property
+    def state_edges(self) -> tuple[tuple[int, int], ...]:
+        """The distinct edges (i, j), 1-based, sorted; derived from the edge
+        arrays on first use and kept."""
+        return tuple(self._edge_pairs())
+
+    def _edge_pairs(self):
+        """An iterator over the edges (i, j) in ``state_edges`` order, read
+        from the edge arrays without keeping a tuple per edge."""
+        tails, heads = self._edge_arrays
+        return zip((tails + 1).tolist(), (heads + 1).tolist())
+
+    def _other_fields(self) -> tuple:
+        return (self.n, self.available, self.targets, self.explicit_inputs,
+                self.explicit_outputs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._other_fields() == other._other_fields() and all(
+            np.array_equal(a, b)
+            for a, b in zip(self._edge_arrays, other._edge_arrays))
+
+    def __hash__(self):
+        tails, heads = self._edge_arrays
+        return hash(self._other_fields() + (tails.tobytes(), heads.tobytes()))
+
+    def __repr__(self):
+        return (f"StructuredSystem(n={self.n!r}, state_edges={self.state_edges!r}, "
+                f"available={self.available!r}, targets={self.targets!r}, "
+                f"explicit_inputs={self.explicit_inputs!r}, "
+                f"explicit_outputs={self.explicit_outputs!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_edge_arrays", None)  # rebuilt on demand, not pickled
+        state.pop("state_edges", None)  # derived on demand, not pickled
         return state
 
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based tails and heads of ``state_edges``, in its order (sorted,
-        distinct), read-only; built on first use and kept.  int32 halves what
-        every large system keeps; the CSR kernel indexes in int32 anyway."""
-        ends = np.fromiter(chain.from_iterable(self.state_edges), np.int32,
-                           2 * len(self.state_edges))
-        tails, heads = ends[0::2] - 1, ends[1::2] - 1
-        tails.flags.writeable = heads.flags.writeable = False
-        return tails, heads
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for arr in self._edge_arrays:
+            arr.flags.writeable = False
 
     def state_adjacency(self) -> Mapping[int, tuple[int, ...]]:
         """Successor map of the state graph, every node 1..n present as a key.
 
         A graph with at least ``flow.CSR_MIN_ARCS`` nodes plus edges comes as
-        a read-only :class:`flow.StateGraph` over the system's edge arrays,
-        which are built once per system; a smaller one as a fresh dict.
+        a read-only :class:`flow.StateGraph` over the system's edge arrays; a
+        smaller one as a fresh dict.
         """
-        if self.n + len(self.state_edges) >= flow.CSR_MIN_ARCS:
-            return flow.StateGraph(self.n, *self._edge_arrays)
+        tails, heads = self._edge_arrays
+        if self.n + len(tails) >= flow.CSR_MIN_ARCS:
+            return flow.StateGraph(self.n, tails, heads)
         succ: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
         for i, j in self.state_edges:
             succ[i].append(j)
@@ -204,9 +287,8 @@ def build_graph(sys: StructuredSystem) -> SystemGraph:
     Adds input/output nodes only when explicit input/output patterns are
     present.
     """
-    edges: list[tuple[GraphNode, GraphNode]] = []
-    for i, j in sys.state_edges:
-        edges.append((("x", i), ("x", j)))
+    edges: list[tuple[GraphNode, GraphNode]] = [
+        (("x", i), ("x", j)) for i, j in sys._edge_pairs()]
     for k, col in enumerate(sys.explicit_inputs, start=1):
         for i in col:
             edges.append((("u", k), ("x", i)))
@@ -240,6 +322,15 @@ def linking_graph(sys: StructuredSystem) -> tuple[Mapping, Sequence, Sequence]:
 # File format
 # ---------------------------------------------------------------------------
 
+# str.splitlines() breaks lines at these as well as at "\n"
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# A well-formed edge line: ASCII digits only, at most 18 of them, so that
+# every value read fits int64 unchanged.
+_EDGE_LINE = re.compile(
+    r"^[ \t]*edge[ \t]+(\d{1,18}[ \t]+\d{1,18})[ \t]*(?:#.*)?$", re.M | re.A)
+_NON_EMPTY_LINE = re.compile(r"[^\n]+")
+
+
 def parse_system(text: str) -> StructuredSystem:
     """Parse a system from the line-oriented format or its JSON equivalent.
 
@@ -255,6 +346,13 @@ def parse_system(text: str) -> StructuredSystem:
     ``n`` must be the first directive.  ``input``/``output`` columns must be
     numbered consecutively from 1.
 
+    The well-formed ``edge`` lines (two runs of ASCII digits, separated by
+    spaces or tabs) are read in one pass over the text; every other line is
+    read one at a time.  When that pass cannot tell what the line-by-line
+    reading would have done (a line break other than "\\n", an ``edge`` line
+    it cannot read, or an edge before ``n``), the whole text is read line by
+    line instead, so results and errors do not depend on the pass.
+
     Raises:
         ParseError: malformed line (reported with its line number).
         ValidationError: out-of-range index or duplicate set member.
@@ -262,7 +360,36 @@ def parse_system(text: str) -> StructuredSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
+    if not any(c in text for c in _LINE_BREAKS):
+        # [text before the first edge line, its endpoints, text up to the
+        # next one, ...]; the text left keeps every line break
+        pieces = _EDGE_LINE.split(text)
+        first_edge = pieces[0].count("\n") + 1 if len(pieces) > 1 else math.inf
+        fields = _read_lines(_numbered_lines("".join(pieces[0::2])), first_edge)
+        if fields is not None:
+            ends = np.fromstring(" ".join(pieces[1::2]), dtype=np.int64, sep=" ")
+            return StructuredSystem(state_edges=ends.reshape(-1, 2), **fields)
+    return StructuredSystem(**_read_lines(enumerate(text.splitlines(), start=1)))
 
+
+def _numbered_lines(text: str):
+    """(line number, line) of the lines of ``text`` that are not empty."""
+    lineno, last = 1, 0
+    for m in _NON_EMPTY_LINE.finditer(text):
+        lineno += text.count("\n", last, m.start())
+        last = m.start()
+        yield lineno, m.group()
+
+
+def _read_lines(lines, first_edge: Optional[float] = None) -> Optional[dict]:
+    """The fields of a system from its numbered lines, or None.
+
+    ``first_edge`` is None when ``lines`` are all the lines of a text.
+    Otherwise the edge lines were read in bulk, ``first_edge`` is the number
+    of the first of them (inf for none), and None is returned where the
+    per-line reading could have differed: the text has an ``edge`` line
+    among ``lines``, or an edge line before ``n``.
+    """
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     available: Optional[list[int]] = None
@@ -270,7 +397,9 @@ def parse_system(text: str) -> StructuredSystem:
     inputs: list[tuple[int, ...]] = []
     outputs: list[tuple[int, ...]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
+        if n is None and first_edge is not None and lineno > first_edge:
+            return None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -292,6 +421,8 @@ def parse_system(text: str) -> StructuredSystem:
             raise ParseError("'n' must be the first directive", lineno)
 
         if keyword == "edge":
+            if first_edge is not None:
+                return None
             if len(values) != 2:
                 raise ParseError("'edge' takes exactly two integers", lineno)
             edges.append((values[0], values[1]))
@@ -327,15 +458,19 @@ def parse_system(text: str) -> StructuredSystem:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 
     if n is None:
+        if first_edge is not None and first_edge < math.inf:
+            return None
         raise ParseError("missing 'n' directive")
-    return StructuredSystem(
+    fields = dict(
         n=n,
-        state_edges=tuple(edges),
         available=tuple(available or ()),
         targets=tuple(targets or ()),
         explicit_inputs=tuple(inputs),
         explicit_outputs=tuple(outputs),
     )
+    if first_edge is None:
+        fields["state_edges"] = tuple(edges)
+    return fields
 
 
 def _from_json(text: str) -> StructuredSystem:
@@ -387,7 +522,7 @@ def _json_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
 def serialize_system(sys: StructuredSystem) -> str:
     """Render a system in the line-oriented format; inverse of parse_system."""
     lines = [f"n {sys.n}"]
-    lines += [f"edge {i} {j}" for i, j in sys.state_edges]
+    lines += [f"edge {i} {j}" for i, j in sys._edge_pairs()]
     if sys.available:
         lines.append("available " + " ".join(map(str, sys.available)))
     if sys.targets:
@@ -404,7 +539,7 @@ def system_to_json(sys: StructuredSystem) -> str:
     return json.dumps(
         {
             "n": sys.n,
-            "state_edges": [list(e) for e in sys.state_edges],
+            "state_edges": (np.column_stack(sys._edge_arrays) + 1).tolist(),
             "available": list(sys.available),
             "targets": list(sys.targets),
             "explicit_inputs": [list(c) for c in sys.explicit_inputs],

@@ -193,3 +193,112 @@ def bf_all_maximum_linkings(adj, sources, targets):
         masks.append(mask)
     search(0, 0, [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference reader of the line-oriented system format
+# ---------------------------------------------------------------------------
+
+# largest n a system accepts: 2n + 2 flow-network node ids fit int32
+MAX_N = (2**31 - 1 - 2) // 2
+
+
+class ReferenceParseError(Exception):
+    """A malformed line; ``line`` is its 1-based number, or None."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class ReferenceValidationError(Exception):
+    """An index out of range or a duplicate set member."""
+
+
+def _reference_set(values, n, what):
+    seen = []
+    for v in values:
+        if not 1 <= v <= n:
+            raise ReferenceValidationError(f"{what} {v} out of range 1..{n}")
+        if v in seen:
+            raise ReferenceValidationError(f"duplicate {what} {v}")
+        seen.append(v)
+    return tuple(seen)
+
+
+def reference_parse(text):
+    """The fields of a system in the line format, read one line at a time
+    with str.splitlines, str.split and int, then validated in field order.
+
+    Returns a dict with the keys of the system's fields, edges sorted and
+    distinct, input columns and output rows sorted.  Raises
+    ReferenceParseError or ReferenceValidationError with the messages the
+    format's reader gives.
+    """
+    n = None
+    edges, available, targets, inputs, outputs = [], None, None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword, *args = line.split()
+        try:
+            values = [int(t) for t in args]
+        except ValueError:
+            raise ReferenceParseError(f"expected integers after {keyword!r}",
+                                      lineno) from None
+        if keyword == "n":
+            if n is not None:
+                raise ReferenceParseError("duplicate 'n' directive", lineno)
+            if len(values) != 1:
+                raise ReferenceParseError("'n' takes exactly one integer", lineno)
+            n = values[0]
+        elif n is None:
+            raise ReferenceParseError("'n' must be the first directive", lineno)
+        elif keyword == "edge":
+            if len(values) != 2:
+                raise ReferenceParseError("'edge' takes exactly two integers",
+                                          lineno)
+            edges.append(tuple(values))
+        elif keyword in ("available", "targets"):
+            if (available if keyword == "available" else targets) is not None:
+                raise ReferenceParseError(f"duplicate {keyword!r} directive",
+                                          lineno)
+            if keyword == "available":
+                available = values
+            else:
+                targets = values
+        elif keyword in ("input", "output"):
+            rows = inputs if keyword == "input" else outputs
+            if not values:
+                what = "a column index" if keyword == "input" else "a row index"
+                raise ReferenceParseError(f"{keyword!r} needs {what}", lineno)
+            if values[0] != len(rows) + 1:
+                what = "input columns" if keyword == "input" else "output rows"
+                raise ReferenceParseError(
+                    f"{what} must be numbered consecutively; expected "
+                    f"{len(rows) + 1}, got {values[0]}", lineno)
+            rows.append(values[1:])
+        else:
+            raise ReferenceParseError(f"unknown directive {keyword!r}", lineno)
+    if n is None:
+        raise ReferenceParseError("missing 'n' directive")
+    if n < 1:
+        raise ReferenceValidationError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_N:
+        raise ReferenceValidationError(f"n must be at most {MAX_N}, got {n}")
+    for i, j in edges:
+        for v in (i, j):
+            if not 1 <= v <= n:
+                raise ReferenceValidationError(
+                    f"edge endpoint {v} out of range 1..{n}")
+    return {
+        "n": n,
+        "state_edges": tuple(sorted(set(edges))),
+        "available": _reference_set(available or (), n, "available node"),
+        "targets": _reference_set(targets or (), n, "target node"),
+        "explicit_inputs": tuple(tuple(sorted(_reference_set(c, n, "input node")))
+                                 for c in inputs),
+        "explicit_outputs": tuple(tuple(sorted(_reference_set(r, n, "output node")))
+                                  for r in outputs),
+    }

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from netctrl import (
@@ -15,9 +16,15 @@ from netctrl import (
     is_structurally_controllable,
     solve_mtcp,
 )
+from netctrl import flow
 
 from .conftest import random_system
-from .oracles import bf_classify, bf_is_admissible, bf_max_linking_size
+from .oracles import (
+    bf_classify,
+    bf_is_admissible,
+    bf_max_linking_size,
+    reachable_from,
+)
 
 
 class TestFunctionalTargetControllability:
@@ -226,6 +233,45 @@ class TestStructuralControllability:
         pieces = list(report.stems) + list(report.cycles)
         all_states = [v for piece in pieces for kind, v in piece if kind == "x"]
         assert len(all_states) == len(set(all_states))
+
+    def test_large_systems_against_bfs_and_networkx(self):
+        # above the cutoff the state graph is a StateGraph, and reachability
+        # from the inputs is one search over the edge arrays
+        rng = random.Random(16)
+        verdicts = set()
+        for trial in range(8):
+            n = rng.randint(600, 1200)
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(n // 2, 2 * n))}
+            if trial % 2:  # a spanning chain: every node reachable from x1
+                edges |= {(i, i + 1) for i in range(1, n)}
+            inputs = [tuple(rng.sample(range(1, n + 1), rng.randint(0, 3)))
+                      for _ in range(rng.randint(1, 4))]
+            inputs[0] += (1,) if 1 not in inputs[0] else ()
+            sys_ = StructuredSystem(n=n, state_edges=tuple(edges),
+                                    explicit_inputs=tuple(inputs))
+            assert isinstance(sys_.state_adjacency(), flow.StateGraph)
+            report = is_structurally_controllable(sys_)
+
+            succ = {i: [] for i in range(1, n + 1)}
+            for i, j in sys_.state_edges:
+                succ[i].append(j)
+            reached = reachable_from(succ, [i for col in inputs for i in col])
+            assert report.unreachable == tuple(
+                i for i in range(1, n + 1) if i not in reached)
+            # generic rank: a maximum matching of rows to columns of [A | B]
+            pattern = nx.Graph()
+            rows = [("row", j) for j in range(1, n + 1)]
+            pattern.add_nodes_from(rows)
+            pattern.add_edges_from((("row", j), ("col", i)) for i, j in edges)
+            pattern.add_edges_from((("row", i), ("input", k))
+                                   for k, col in enumerate(inputs) for i in col)
+            matching = nx.bipartite.hopcroft_karp_matching(pattern, rows)
+            assert report.generic_rank == len(matching) // 2
+            assert report.controllable == (not report.unreachable
+                                           and report.generic_rank == n)
+            verdicts.add((report.input_connected, report.controllable))
+        assert len(verdicts) >= 2
 
 
 class TestAgreementBetweenOperations:

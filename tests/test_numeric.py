@@ -1,5 +1,7 @@
 """Numeric oracle: instantiation, ranks, transfer-matrix sampling, tracking."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from netctrl import (
     default_reference,
     instantiate,
     numeric_rank,
+    parse_system,
     pointwise_output_ctrb_rank,
     state_ctrb_rank,
     track_trajectory,
@@ -18,6 +21,8 @@ from netctrl import (
     transfer_rank,
 )
 from netctrl.numeric import PreconditionError, discretize_zoh, relative_degree
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestInstantiate:
@@ -64,6 +69,30 @@ class TestInstantiate:
         inst = instantiate(io_system, seed=0)
         with pytest.raises(ValueError):
             inst.A[0, 0] = 1.0
+
+    def test_draws_pinned(self):
+        # every verify and track seed depends on this stream: one sign and
+        # one magnitude per parameter, state edges in sorted order first
+        with open(SAMPLES / "network.sys", encoding="utf-8") as fh:
+            inst = instantiate(parse_system(fh.read()), seed=42)
+        expected = {
+            "A": [(1, 9, -0.18322715499573466), (2, 1, 0.9338690355288993),
+                  (3, 2, -1.9536824681098364), (3, 4, -0.9557332820015775),
+                  (5, 2, 1.5935221800262123), (5, 4, -1.8608534788123434),
+                  (6, 1, 1.4249992552127915), (6, 5, 1.663247065214577),
+                  (7, 5, -0.531753571391076), (8, 5, 0.22125278659793313),
+                  (8, 6, 0.7735993394467499), (8, 7, 0.4698135449187384),
+                  (9, 5, 1.3001623583319233), (9, 6, 1.7969301305121756)],
+            "B": [(4, 1, -1.3977930111606638), (6, 2, -0.8038734414662508),
+                  (7, 1, 1.938268491624999), (9, 2, -0.4599955822601428)],
+            "C": [(1, 8, -1.003839359829274), (2, 8, -1.3726465898967697),
+                  (2, 9, -1.682088572509891)],
+        }
+        for name, shape in (("A", (9, 9)), ("B", (9, 2)), ("C", (2, 9))):
+            pinned = np.zeros(shape)
+            for r, c, value in expected[name]:
+                pinned[r - 1, c - 1] = value
+            np.testing.assert_array_equal(getattr(inst, name), pinned)
 
     def test_value_range_must_exclude_zero(self, io_system):
         with pytest.raises(ValidationError):

@@ -285,24 +285,24 @@ class TestComplexityGrowth:
 
 def both_kernels(op, *args):
     """``op``'s answer from the pure-Python kernel and from the CSR kernel,
-    each forced by moving the size cutoff that chooses between them.  Spies
-    on both kernels' solvers check that the forced kernel is the one that
-    ran."""
+    each forced by moving the size cutoff that chooses between them; a
+    ValueError that ``op`` raises is the answer.  Spies on each kernel's
+    entry (its node check or its flattening) and on its solver check that the
+    forced kernel is the one that ran."""
     answers = []
     for cutoff, forced, other in ((math.inf, "python", "csr"),
                                   (0, "csr", "python")):
         calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
-            for kernel, solver in (("python", "_solve"), ("csr", "maximum_flow")):
-                mp.setattr(flow, solver, counted(getattr(flow, solver), calls,
-                                                 kernel))
-            answer = op(*args)
-        assert calls[other] == 0
-        # the essential analysis answers 0 without a flow when no available
-        # node reaches T
-        assert calls[forced] or (op is essential_start_analysis
-                                 and answer[0] == 0)
+            for kernel, name in (("python", "_check_nodes"), ("python", "_solve"),
+                                 ("csr", "_flatten"), ("csr", "maximum_flow")):
+                mp.setattr(flow, name, counted(getattr(flow, name), calls, kernel))
+            try:
+                answer = op(*args)
+            except ValueError as exc:
+                answer = exc
+        assert calls[other] == 0 and calls[forced]
         answers.append(answer)
     return answers
 
@@ -415,6 +415,14 @@ class TestKernelsAgree:
             self.check(adj, available, targets,
                        nx_linking_size(adj, available, targets))
         assert starts.count("sink") >= 10 and starts.count("source") >= 10
+
+    @pytest.mark.parametrize("op", [max_linking_size, minimal_left_separator,
+                                    essential_start_analysis])
+    @pytest.mark.parametrize("available, targets", [([1], [5]), ([5], [1])])
+    def test_node_not_in_graph(self, op, available, targets):
+        py_exc, csr_exc = both_kernels(op, {1: (), 2: ()}, available, targets)
+        for exc in (py_exc, csr_exc):
+            assert type(exc) is ValueError and str(exc) == "node 5 not in graph"
 
     def test_state_graph_view_against_its_dict(self):
         # the CSR kernel reads a StateGraph's arrays directly and flattens a

@@ -7,11 +7,16 @@ import pickle
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
+import netctrl
 from netctrl import (
+    NetctrlError,
     ParseError,
+    PreconditionError,
+    SingularSampleError,
     StructuredSystem,
+    UnsolvableError,
     ValidationError,
     build_graph,
     classify_nodes,
@@ -21,6 +26,8 @@ from netctrl import (
     system_to_json,
 )
 from netctrl import flow
+
+from .oracles import ReferenceParseError, ReferenceValidationError, reference_parse
 
 STEERING_TEXT = """\
 # steering-selection example
@@ -284,3 +291,229 @@ class TestStateGraphView:
         again = pickle.loads(pickle.dumps(steering_system))
         assert again == steering_system and hash(again) == before
         assert not view_of(again).tails.flags.writeable
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("fields", [
+        {"n": True},
+        {"n": 3.0},
+        {"n": "3"},
+        {"n": np.bool_(True)},
+        {"n": 3, "state_edges": ((1, 2.0),)},
+        {"n": 3, "state_edges": ((True, 1),)},
+        {"n": 3, "state_edges": ((1, np.float64(2)),)},
+        {"n": 3, "state_edges": (("1", 2),)},
+        {"n": 3, "state_edges": np.array([[1.0, 2.0]])},
+        {"n": 3, "state_edges": np.array([[True, True]])},
+        {"n": 3, "available": (1.0, 2)},
+        {"n": 3, "available": (True,)},
+        {"n": 3, "targets": (np.float32(1),)},
+        {"n": 3, "explicit_inputs": ((1.5,),)},
+        {"n": 3, "explicit_outputs": ((np.bool_(True),),)},
+    ])
+    def test_rejects_booleans_and_non_integers(self, fields):
+        with pytest.raises(ValidationError):
+            StructuredSystem(**fields)
+
+    def test_accepts_python_and_numpy_integers(self):
+        plain = StructuredSystem(n=3, state_edges=((1, 2), (3, 1)),
+                                 available=(2, 1), targets=(3,),
+                                 explicit_inputs=((1, 3),))
+        for edges in (((np.int32(1), 2), (3, np.uint8(1))),
+                      np.array([[3, 1], [1, 2]], dtype=np.uint8),
+                      np.array([[1, 2], [3, 1], [1, 2]], dtype=np.int64)):
+            sys_ = StructuredSystem(n=np.int64(3), state_edges=edges,
+                                    available=np.array([2, 1]),
+                                    targets=(np.int16(3),),
+                                    explicit_inputs=(np.array([3, 1]),))
+            assert sys_ == plain and hash(sys_) == hash(plain)
+            for value in (sys_.n, *sys_.available, *sys_.targets,
+                          *sys_.explicit_inputs[0], *sys_.state_edges[0]):
+                assert type(value) is int
+
+    @pytest.mark.parametrize("edges", [
+        np.array([1, 2, 3, 1]), np.zeros((2, 3), dtype=int), ((1, 2, 3),)])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValidationError):
+            StructuredSystem(n=3, state_edges=edges)
+
+    def test_array_out_of_range_reports_first_endpoint(self):
+        with pytest.raises(ValidationError, match="edge endpoint 7 out of range"):
+            StructuredSystem(n=3, state_edges=np.array([[1, 2], [7, 0]]))
+
+    def test_caller_array_left_unchanged(self):
+        edges = np.array([[2, 1], [1, 2], [2, 1]])
+        sys_ = StructuredSystem(n=2, state_edges=edges)
+        assert edges.tolist() == [[2, 1], [1, 2], [2, 1]]
+        assert sys_.state_edges == ((1, 2), (2, 1))
+
+
+class TestErrorBase:
+    @pytest.mark.parametrize("cls, base", [
+        (ParseError, ValueError), (ValidationError, ValueError),
+        (PreconditionError, RuntimeError), (UnsolvableError, RuntimeError),
+        (SingularSampleError, RuntimeError)])
+    def test_one_base_catches_each_error(self, cls, base):
+        exc = cls(1, 2) if cls is UnsolvableError else cls("message")
+        with pytest.raises(NetctrlError):
+            raise exc
+        assert isinstance(exc, base)
+        assert "NetctrlError" in netctrl.__all__
+
+    def test_catches_a_raised_parse_error(self):
+        with pytest.raises(NetctrlError):
+            parse_system("n 3\nvertex 1\n")
+
+
+# digits that int() reads but the bulk edge pass does not
+_DIGIT_SETS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_ENDINGS = (["\n"], ["\r\n"], ["\n", "\r\n"],
+            ["\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+_BAD_LINES = ("edge 1", "edge 1 2 3", "edge 1 two", "edge", "edge 1 2x",
+              "vertex 3", "n 4", "n", "available 1 x", "input 9 1", "output",
+              "input", "edge 1\t+2\t# ok", "edge\xa01 2")
+# lines that read but give an invalid system when they follow n
+_INVALID_LINES = ("edge 0 1", "edge 1 -1", "edge 99999999999999999999 1",
+                  "edge 1 0000000000000000000000", "targets 0", "output 1 2 2")
+
+
+@st.composite
+def _number(draw, v, fancy):
+    styles = ["plain", "plain", "zeros"]
+    if fancy:
+        styles += ["plus", "underscore", "digits"]
+    style = draw(st.sampled_from(styles))
+    text = str(v)
+    if style == "zeros":
+        return "0" * draw(st.integers(1, 3)) + text
+    if style == "plus":
+        return "+" + text
+    if style == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    if style == "digits":
+        digits = draw(st.sampled_from(_DIGIT_SETS))
+        return "".join(digits[int(c)] for c in text)
+    return text
+
+
+@st.composite
+def _line(draw, keyword, values, fancy):
+    seps = [" ", "\t", "  ", " \t"] + (["\xa0", "\u3000"] if fancy else [])
+    parts = [keyword] + [draw(_number(v, fancy)) for v in values]
+    out = draw(st.sampled_from(["", " ", "\t"])) + parts[0]
+    for part in parts[1:]:
+        out += draw(st.sampled_from(seps)) + part
+    return out + draw(st.sampled_from(["", "", " ", "\t", " # note", "#edge 1 2"]))
+
+
+@st.composite
+def line_texts(draw):
+    """A system in the line format with varied spacing, comments, number
+    spellings and line breaks; some are broken by one mutation."""
+    fancy = draw(st.booleans())
+    n = draw(st.one_of(st.integers(1, 12),
+                       st.integers(flow.CSR_MIN_ARCS - 20, flow.CSR_MIN_ARCS + 50)))
+    node = st.integers(1, n)
+    directives = [("edge", list(e))
+                  for e in draw(st.lists(st.tuples(node, node), max_size=25))]
+    if directives and draw(st.booleans()):
+        directives.append(draw(st.sampled_from(directives)))  # a duplicate
+    for keyword in ("available", "targets"):
+        if draw(st.booleans()):
+            directives.append((keyword, draw(st.lists(node, unique=True, max_size=6))))
+    for keyword in ("input", "output"):
+        for _ in range(draw(st.integers(0, 2))):
+            directives.append((keyword, draw(st.lists(node, unique=True, max_size=3))))
+    directives = draw(st.permutations(directives))
+    rows = {"input": 0, "output": 0}
+    n_line = draw(_line("n", [n], fancy))
+    lines = [n_line]
+    for keyword, values in directives:
+        if keyword in rows:
+            rows[keyword] += 1
+            values = [rows[keyword]] + values
+        lines.append(draw(_line(keyword, values, fancy)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# comment", " \t", "#"])))
+    mutation = draw(st.sampled_from(
+        [None, None, "insert", "invalid", "swap_n", "drop_n"]))
+    if mutation == "insert":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_BAD_LINES)))
+    elif mutation == "invalid":
+        lines.insert(draw(st.integers(lines.index(n_line) + 1, len(lines))),
+                     draw(st.sampled_from(_INVALID_LINES + (f"edge {n + 1} 1",))))
+    elif mutation == "swap_n" and len(lines) > 1:
+        k = draw(st.integers(1, len(lines) - 1))
+        lines[0], lines[k] = lines[k], lines[0]
+    elif mutation == "drop_n":
+        lines = [l for l in lines if not l.strip().startswith("n")]
+    endings = draw(st.sampled_from(_ENDINGS))
+    return "".join(l + draw(st.sampled_from(endings)) for l in lines)
+
+
+def _outcome(parse, text):
+    """What reading ``text`` gives: its fields, or the error it raises."""
+    try:
+        result = parse(text)
+    except (ParseError, ReferenceParseError) as exc:
+        return "parse", str(exc), exc.line
+    except (ValidationError, ReferenceValidationError) as exc:
+        return "invalid", str(exc)
+    if isinstance(result, StructuredSystem):
+        result = {name: getattr(result, name) for name in (
+            "n", "state_edges", "available", "targets", "explicit_inputs",
+            "explicit_outputs")}
+    return "ok", result
+
+
+class TestBulkParse:
+    """The bulk edge pass reads every text as a line-by-line reader does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_texts())
+    def test_against_reference_reader(self, text):
+        assert _outcome(parse_system, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("n 3\nedge 1 2\nedge 1 +x\n", 3),
+        ("edge 1 2\nfoo\nn 3\n", 1),
+        ("# c\n\nedge 1 2\n", 3),
+        ("n 3\r\nedge 1 2\r\nvertex\r\n", 3),
+        ("n 3\x0cedge 1 2\nvertex\n", 3),
+        ("n 3\nedge 1 2\n\u2028vertex\n", 4),
+    ])
+    def test_line_numbers(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "n 3\nedge 1 +2\nedge 2 3\n",
+        "n 12\nedge 1 1_0\nedge 2 3\n",
+        "n 3\nedge \u0661 \u0662\nedge 2 3\n",
+        "n 3\r\nedge 1 2\r\nedge 2 3\r\n",
+        "n 3\nedge 1 2 # c\n\tedge\t2\t3#\nedge 002 3\n",
+    ])
+    def test_lines_the_bulk_pass_leaves(self, text):
+        assert _outcome(parse_system, text) == _outcome(reference_parse, text)
+        assert parse_system(text).state_edges[-1] == (2, 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trips_above_cutoff(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(flow.CSR_MIN_ARCS // 2, 2 * flow.CSR_MIN_ARCS))
+        count = int(rng.integers(flow.CSR_MIN_ARCS, 3 * n))
+        edges = rng.integers(1, n + 1, size=(count, 2))
+        nodes = rng.permutation(n)[:20] + 1
+        sys_ = StructuredSystem(
+            n=n, state_edges=edges, available=nodes[:8], targets=nodes[8:12],
+            explicit_inputs=(nodes[12:15],),
+            explicit_outputs=(nodes[15:18], nodes[18:]))
+        assert isinstance(sys_.state_adjacency(), flow.StateGraph)
+        assert sys_.state_edges == tuple(sorted(set(map(tuple, edges.tolist()))))
+        assert parse_system(serialize_system(sys_)) == sys_
+        assert parse_system(system_to_json(sys_)) == sys_
