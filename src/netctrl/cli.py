@@ -177,7 +177,8 @@ def _cmd_classify(args) -> int:
         return EXIT_NEGATIVE
     mapping = {f"x{i}": label for i, label in classification.as_dict().items()}
     human = "\n".join(f"{name}: {label}" for name, label in mapping.items())
-    _emit(mapping, args.json, human)
+    _emit({"command": "classify", "solvable": True, "labels": mapping},
+          args.json, human)
     return EXIT_OK
 
 

@@ -4,9 +4,7 @@ The central construction is the auxiliary graph: every node v of a digraph is
 split into v- and v+ joined by a unit-capacity edge, original edges become
 (u+, w-) edges, and a dummy source s (sink t) is wired to the available
 (target) set.  Integral max flow on this network equals the maximum number of
-vertex-disjoint direct paths from the available set to the target set, and the
-source side of the minimal cut found by the labelling procedure yields the
-minimal left separator.
+vertex-disjoint direct paths from the available set to the target set.
 
 All operations are pure functions; inputs are never mutated.  Graphs are
 successor mappings ``{node: sequence_of_successors}`` whose keys must cover
@@ -14,7 +12,18 @@ every node and be mutually orderable (ints, or like-shaped tuples): plain
 dicts, or a :class:`StateGraph`, which holds a digraph on nodes 1..n as its
 edge arrays.
 
-Two kernels solve these networks.  Small ones go through the pure-Python
+Each high-level operation solves one such network over the graph as given,
+with unit source arcs and the sentinel |T| + 1 on edge and sink arcs.  The
+flow value is the maximum linking size; the flow paths, each trimmed to run
+from its last available node to the first target after it, are a maximum
+linking; an available node is essential iff its entry half is not labelled
+(reachable from s in the residual graph); and the minimal left separator is
+the nodes v with v- labelled and v+ not when every source arc counts as
+open.  The lower-level functions build the linking network instead, over
+``preprocess_direct``'s graph with source arcs at |T| + 1: no finite cut of
+it crosses an edge into A or out of T, so both have the same minimum cuts.
+
+Two kernels solve the network.  Small ones go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
 question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
 example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
@@ -49,10 +58,9 @@ SINK = "t"
 # Split plus edge arcs (n + |E|) from which networks are solved on CSR arrays.
 # Measured on random digraphs with three edges per node, |A| = n/5, |T| = 5
 # (best of 20 calls, one core): at n = 100 (400 arcs) the Python kernel is
-# faster for every operation but linking (0.6 vs 0.9 ms for the separator,
-# 0.7 vs 1.1 ms for the essential analysis); from n = 250 (1000 arcs) the CSR
-# kernel is at least as fast for all four, and at n = 400 it takes about half
-# the time.
+# faster for every operation (0.6 vs 1.1 ms for the separator, 0.7 vs 1.3 ms
+# for the essential analysis); from n = 250 (1000 arcs) the CSR kernel is at
+# least as fast for all four, and at n = 400 it takes about half the time.
 CSR_MIN_ARCS = 1000
 
 
@@ -388,13 +396,18 @@ def max_flow(aux: AuxiliaryGraph) -> Flow:
     return Flow(value=value, edge_flow=edge_flow)
 
 
-def _residual_from_flow(aux: AuxiliaryGraph, flow: Flow) -> list:
-    res = list(aux._cap)
-    for e, f in enumerate(flow.edge_flow):
-        if f:
-            res[2 * e] -= f
-            res[2 * e + 1] += f
-    return res
+def _search(adj, res, queue: list) -> bytearray:
+    """Mask of the nodes reachable from the distinct nodes ``queue`` along
+    the arcs with residual capacity left in ``res``."""
+    seen = bytearray(len(adj))
+    for u in queue:
+        seen[u] = 1
+    for u in queue:
+        for arc, v in adj[u]:
+            if not seen[v] and res[arc] > 0:
+                seen[v] = 1
+                queue.append(v)
+    return seen
 
 
 def min_cut_source_set(aux: AuxiliaryGraph, flow: Flow) -> frozenset:
@@ -407,64 +420,112 @@ def min_cut_source_set(aux: AuxiliaryGraph, flow: Flow) -> frozenset:
     Raises:
         PreconditionError: if ``flow`` is not maximum (the sink is reachable).
     """
-    res = _residual_from_flow(aux, flow)
-    s_id, t_id = aux.source_id, aux.sink_id
-    visited = bytearray(aux.node_count)
-    visited[s_id] = 1
-    queue = deque([s_id])
-    while queue:
-        u = queue.popleft()
-        for arc, v in aux._adj[u]:
-            if not visited[v] and res[arc] > 0:
-                if v == t_id:
-                    raise PreconditionError(
-                        "flow is not maximum: an augmenting path exists"
-                    )
-                visited[v] = 1
-                queue.append(v)
-    return frozenset(
-        aux.node_label(i) for i in range(aux.node_count) if visited[i]
-    )
+    res = list(aux._cap)
+    for e, f in enumerate(flow.edge_flow):
+        res[2 * e] -= f
+        res[2 * e + 1] += f
+    visited = _search(aux._adj, res, [aux.source_id])
+    if visited[aux.sink_id]:
+        raise PreconditionError("flow is not maximum: an augmenting path exists")
+    return frozenset(aux.node_label(i) for i in range(aux.node_count)
+                     if visited[i])
 
 
-def extract_linking(aux: AuxiliaryGraph, flow: Flow) -> Linking:
-    """Decompose an integral maximum flow into vertex-disjoint paths.
+def _flow_paths(labels, head, edge_flow, s_id: int, t_id: int) -> list:
+    """The source-sink paths of an integral flow on a split network held as
+    arc lists (arc 2e is the forward direction of edge e, as
+    :func:`_build_arrays` builds them), each as the tuple of its labels.
 
-    Walks saturated arcs from the source, consuming flow, and merges split
-    nodes back into original labels.  Unit split capacities make every walk
-    node-simple and terminating.  On an auxiliary graph built from a
-    preprocessed digraph the resulting paths are direct.
+    Walks arcs with flow from the source, consuming it; unit split
+    capacities make every walk node-simple and terminating.
     """
-    remaining = list(flow.edge_flow)
+    remaining = list(edge_flow)
     # forward-edge successor lists per aux node, in construction order
-    out_edges: list[list[int]] = [[] for _ in range(aux.node_count)]
-    for e in range(aux.edge_count):
-        tail = aux._head[2 * e + 1]
-        out_edges[tail].append(e)
+    out_edges: list[list[int]] = [[] for _ in range(2 * len(labels) + 2)]
+    for e in range(len(remaining)):
+        out_edges[head[2 * e + 1]].append(e)
 
-    s_id, t_id = aux.source_id, aux.sink_id
     paths = []
     for e0 in out_edges[s_id]:
         while remaining[e0] > 0:
             remaining[e0] -= 1
-            node = aux._head[2 * e0]
+            node = head[2 * e0]
             path = []
             while node != t_id:
                 if node % 2 == 0:
-                    path.append(aux.labels[node // 2])
-                nxt = None
-                for e in out_edges[node]:
-                    if remaining[e] > 0:
-                        nxt = e
-                        break
+                    path.append(labels[node // 2])
+                nxt = next((e for e in out_edges[node] if remaining[e] > 0), None)
                 if nxt is None:
                     raise PreconditionError(
                         "flow violates conservation; cannot decompose"
                     )
                 remaining[nxt] -= 1
-                node = aux._head[2 * nxt]
+                node = head[2 * nxt]
             paths.append(tuple(path))
-    return Linking(paths=tuple(paths))
+    return paths
+
+
+def extract_linking(aux: AuxiliaryGraph, flow: Flow) -> Linking:
+    """Decompose an integral maximum flow into vertex-disjoint paths; on an
+    auxiliary graph built from a preprocessed digraph they are direct."""
+    return Linking(paths=tuple(_flow_paths(aux.labels, aux._head, flow.edge_flow,
+                                           aux.source_id, aux.sink_id)))
+
+
+def _trimmed(paths, available, targets) -> Linking:
+    """The linking read off flow paths, which start in A and end in T: each
+    path cut to run from its last available node to the first target after
+    it, so direct, and the paths ordered by start node."""
+    cut = []
+    for path in paths:
+        first = max(k for k, v in enumerate(path) if v in available)
+        last = next(k for k in range(first, len(path)) if path[k] in targets)
+        cut.append(path[first:last + 1])
+    cut.sort(key=operator.itemgetter(0))
+    return Linking(paths=tuple(cut))
+
+
+class _PyFlow:
+    """Maximum flow on the network of the high-level operations (see the
+    module docstring), held as the arc lists of :func:`_build_arrays` and
+    solved by :func:`_solve`."""
+
+    def __init__(self, graph, available: tuple, targets: tuple):
+        _check_nodes(graph, available + targets)
+        self.available, self.targets = set(available), set(targets)
+        (self.labels, self.index, self.adj, self.head, self.cap,
+         sink_arcs) = _build_arrays(graph, available, targets,
+                                    len(self.targets) + 1, 1)
+        self.source = 2 * len(self.labels)
+        self.res = list(self.cap)
+        self.value, self.parent = _solve(self.adj, self.head, self.res,
+                                         self.source, self.source + 1,
+                                         sink_arcs)
+
+    def essential(self) -> frozenset:
+        return frozenset(a for a in self.available
+                         if self.parent[2 * self.index[a]] < 0)
+
+    def separator(self) -> frozenset:
+        # every source arc open: a search from s and every available entry half
+        seen = _search(self.adj, self.res, [self.source] + [
+            2 * self.index[a] for a in self.available])
+        return frozenset(lab for k, lab in enumerate(self.labels)
+                         if seen[2 * k] and not seen[2 * k + 1])
+
+    def linking(self) -> Linking:
+        flow = [c - r for c, r in zip(self.cap[::2], self.res[::2])]
+        return _trimmed(_flow_paths(self.labels, self.head, flow, self.source,
+                                    self.source + 1),
+                        self.available, self.targets)
+
+    def reaches_target(self) -> frozenset:
+        """The nodes with a path to a target: one backward search from t."""
+        # the reverse arcs alone are open: the graph's edges taken backwards
+        seen = _search(self.adj, [0, 1] * (len(self.head) // 2),
+                       [self.source + 1])
+        return frozenset(lab for k, lab in enumerate(self.labels)
+                         if seen[2 * k])
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +591,18 @@ def _labels_at(labels, pos: np.ndarray) -> list:
 
 
 class _CsrFlow:
-    """Dinic maximum flow on the node-split network, held as CSR arrays.
+    """Maximum flow on the network of the high-level operations (see the
+    module docstring), held as CSR arrays and solved by scipy's Dinic.
 
     Numbering as in AuxiliaryGraph: 2k and 2k+1 are the entry and exit
-    halves of the k-th label, 2n the source and 2n+1 the sink.  Edge and sink
-    arcs get capacity |T| + 1, split arcs 1, source arcs ``source_cap``.
+    halves of the k-th label, 2n the source and 2n+1 the sink.
     """
 
-    def __init__(self, labels, tails, heads, sources, sinks, source_cap):
+    def __init__(self, graph, available: tuple, targets: tuple):
+        labels, positions, tails, heads = _flatten(graph)
+        sources, sinks = np.unique(positions(available)), np.unique(positions(targets))
         n = len(labels)
-        self.labels = labels
+        self.labels, self.sources, self.sinks = labels, sources, sinks
         self.source, self.sink = 2 * n, 2 * n + 1
         is_sink = np.zeros(n, dtype=bool)
         is_sink[sinks] = True
@@ -561,7 +624,7 @@ class _CsrFlow:
         indices[indptr[2 * tails + 1] + rank] = 2 * heads
         indices[indptr[2 * sinks + 2] - 1] = self.sink
         indices[indptr[self.source]:] = 2 * sources
-        cap[indptr[self.source]:] = source_cap
+        cap[indptr[self.source]:] = 1
         self.capacity = csr_array((cap, indices, indptr.astype(np.int32)),
                                   shape=(2 * n + 2, 2 * n + 2))
         # Dinic searches breadth-first from the terminal it starts at, in
@@ -580,61 +643,54 @@ class _CsrFlow:
             self.flow = result.flow
         self.value = int(result.flow_value)
 
-    def labelled(self) -> np.ndarray:
-        """Mask of the nodes reachable from the source in the residual graph."""
-        residual = self.capacity - self.flow
+    def _labelled(self, open_sources: bool) -> np.ndarray:
+        """Mask of the nodes reachable from the source in the residual graph,
+        counting every source arc as open if ``open_sources``."""
+        flow = self.flow
+        if open_sources:
+            # leaving out the flow out of s keeps every source arc open
+            flow = flow.copy()
+            flow.data[flow.indptr[self.source]:flow.indptr[self.source + 1]] = 0
+        residual = self.capacity - flow
         residual.eliminate_zeros()  # csgraph takes explicit zeros for arcs
-        mask = np.zeros(self.source + 2, dtype=bool)
-        mask[breadth_first_order(residual, self.source,
-                                 return_predecessors=False)] = True
-        return mask
+        return _reached(residual, self.source)
+
+    def essential(self) -> frozenset:
+        mask = self._labelled(open_sources=False)
+        return frozenset(_labels_at(self.labels,
+                                    self.sources[~mask[2 * self.sources]]))
 
     def separator(self) -> frozenset:
-        mask = self.labelled()
+        mask = self._labelled(open_sources=True)
         cut = mask[0:self.source:2] & ~mask[1:self.source:2]
         return frozenset(_labels_at(self.labels, np.flatnonzero(cut)))
 
     def linking(self) -> Linking:
-        """Paths read by walking arcs with positive flow from the source.
-
-        Every split arc carries at most one unit, so each half node used by
-        the flow has exactly one successor along it.
-        """
+        """The flow's paths, trimmed.  Every split arc carries at most one
+        unit, so each half node used by the flow has one successor on it."""
         flow = self.flow
         carrying = flow.data > 0
         tails = np.repeat(np.arange(self.source + 2), np.diff(flow.indptr))
         succ = np.full(self.source + 2, -1, dtype=np.int64)
         succ[tails[carrying]] = flow.indices[carrying]
         lo, hi = flow.indptr[self.source], flow.indptr[self.source + 1]
-        starts = np.sort(flow.indices[lo:hi][carrying[lo:hi]])
         succ = succ.tolist()
         paths = []
-        for node in starts.tolist():
+        for node in flow.indices[lo:hi][carrying[lo:hi]].tolist():
             path = []
             while node != self.sink:
                 if node % 2 == 0:
                     path.append(self.labels[node // 2])
                 node = succ[node]
             paths.append(tuple(path))
-        return Linking(paths=tuple(paths))
+        return _trimmed(paths, set(_labels_at(self.labels, self.sources)),
+                        set(_labels_at(self.labels, self.sinks)))
 
-
-def _csr_linking_flow(
-    graph: Mapping[Node, Sequence[Node]],
-    available: Iterable[Node],
-    targets: Iterable[Node],
-) -> _CsrFlow:
-    """The linking network of :func:`build_auxiliary_graph`, solved on CSR
-    arrays, with :func:`preprocess_direct` applied as edge masks."""
-    labels, positions, tails, heads = _flatten(graph)
-    sources, sinks = np.unique(positions(available)), np.unique(positions(targets))
-    in_a = np.zeros(len(labels), dtype=bool)
-    in_a[sources] = True
-    in_t = np.zeros(len(labels), dtype=bool)
-    in_t[sinks] = True
-    keep = ~in_t[tails] & ~in_a[heads]
-    return _CsrFlow(labels, tails[keep], heads[keep], sources, sinks,
-                    len(sinks) + 1)
+    def reaches_target(self) -> frozenset:
+        """The nodes with a path to a target: one backward search from t."""
+        mask = _reached(csr_array(self.capacity.T), self.sink)
+        return frozenset(_labels_at(self.labels,
+                                    np.flatnonzero(mask[0:self.source:2])))
 
 
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -648,34 +704,28 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
           np.concatenate([heads, starts]))),
         shape=(n + 1, n + 1),
     )
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[breadth_first_order(graph, n, return_predecessors=False)] = True
-    return mask[:n]
+    return _reached(graph, n)[:n]
 
 
-def _csr_essential(
-    graph: Mapping[Node, Sequence[Node]],
-    available: Iterable[Node],
-    targets: Iterable[Node],
-) -> tuple[int, frozenset, frozenset]:
-    """:func:`essential_start_analysis` on CSR arrays."""
-    labels, positions, tails, heads = _flatten(graph)
-    sources, sinks = np.unique(positions(available)), np.unique(positions(targets))
-    reach = reachable(len(labels), heads, tails, sinks)  # backward from T
-    reaches = frozenset(_labels_at(labels, np.flatnonzero(reach)))
-    live = sources[reach[sources]]
-    if not len(live):
-        return 0, frozenset(), reaches
-    # arcs into nodes that cannot reach T carry no flow and reroute nothing
-    keep = reach[heads]
-    net = _CsrFlow(labels, tails[keep], heads[keep], live, sinks, 1)
-    essential = live[~net.labelled()[2 * live]]
-    return net.value, frozenset(_labels_at(labels, essential)), reaches
+def _reached(graph: csr_array, start: int) -> np.ndarray:
+    """Mask of the nodes of ``graph`` reachable from ``start``."""
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first_order(graph, start, return_predecessors=False)] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
 # High-level operations
 # ---------------------------------------------------------------------------
+
+def _solved(graph, available, targets) -> _PyFlow | _CsrFlow:
+    """The network of the high-level operations (see the module docstring)
+    over ``graph``, solved by the kernel that its size calls for."""
+    available, targets = tuple(available), tuple(targets)
+    if _is_large(graph):
+        return _CsrFlow(graph, available, targets)
+    return _PyFlow(graph, available, targets)
+
 
 def max_linking_size(
     graph: Mapping[Node, Sequence[Node]],
@@ -683,11 +733,7 @@ def max_linking_size(
     targets: Iterable[Node],
 ) -> int:
     """Size of a maximum set of vertex-disjoint direct available-target paths."""
-    if _is_large(graph):
-        return _csr_linking_flow(graph, available, targets).value
-    pre = preprocess_direct(graph, available, targets)
-    aux = build_auxiliary_graph(pre, available, targets)
-    return max_flow(aux).value
+    return _solved(graph, available, targets).value
 
 
 def maximum_linking(
@@ -695,12 +741,10 @@ def maximum_linking(
     available: Iterable[Node],
     targets: Iterable[Node],
 ) -> Linking:
-    """A maximum linking itself (deterministic witness)."""
-    if _is_large(graph):
-        return _csr_linking_flow(graph, available, targets).linking()
-    pre = preprocess_direct(graph, available, targets)
-    aux = build_auxiliary_graph(pre, available, targets)
-    return extract_linking(aux, max_flow(aux))
+    """A maximum linking itself (deterministic witness): the flow's paths,
+    each trimmed to run from its last available node to the first target
+    after it, ordered by start node."""
+    return _solved(graph, available, targets).linking()
 
 
 def minimal_left_separator(
@@ -710,23 +754,12 @@ def minimal_left_separator(
 ) -> frozenset:
     """The unique minimal separator closest to the available set.
 
-    Computed as the split edges crossing the min-cut source set of the
-    auxiliary graph: node v belongs to the separator iff v- is labelled and
-    v+ is not.  Its size equals the maximum linking size, and removing it
+    Node v belongs to it iff v- is labelled and v+ is not, where the
+    labelling is the residual search from s with every source arc counted
+    as open.  Its size equals the maximum linking size, and removing it
     disconnects the available set from the target set.
     """
-    if _is_large(graph):
-        return _csr_linking_flow(graph, available, targets).separator()
-    pre = preprocess_direct(graph, available, targets)
-    aux = build_auxiliary_graph(pre, available, targets)
-    res = list(aux._cap)
-    _, parent = _solve(aux._adj, aux._head, res, aux.source_id, aux.sink_id,
-                       aux._sink_arcs)
-    sep = []
-    for k, lab in enumerate(aux.labels):
-        if parent[2 * k] >= 0 and parent[2 * k + 1] < 0:
-            sep.append(lab)
-    return frozenset(sep)
+    return _solved(graph, available, targets).separator()
 
 
 def essential_start_analysis(
@@ -743,50 +776,12 @@ def essential_start_analysis(
     without which that value drops, and ``reaches_target`` is the set of all
     nodes with a path to the target set.
 
-    Both kernels compute it in the same steps.  A backward search from the
-    target set over the raw graph gives ``reaches_target``; the available
-    nodes in it are the live ones, and with none the value is 0.  The
-    network is built over the nodes that reach T, with only the arcs between
-    them, a unit-capacity source arc into each live node and a sink arc out
-    of every target.  It differs from the linking network in two ways: no
-    preprocessing (paths may pass through unused available nodes) and the
-    unit source arcs.  After one max flow, a live node a is essential iff
-    its entry half a- is not labelled (not reachable from s in the residual
-    graph).  A labelled a- is reached either over its unused source arc or
-    by a residual path that, with the reverse source arc, forms a cycle
-    rerouting a's path elsewhere; an unlabelled a- lies on a path of every
-    maximum family of disjoint paths.
+    An available node a is essential iff its entry half a- is not labelled.
+    A labelled a- is reached either over its unused source arc (as for
+    every node that cannot reach T, which carries no flow) or by a residual
+    path that, with the reverse source arc, forms a cycle rerouting a's path
+    elsewhere; an unlabelled a- lies on a path of every maximum family of
+    disjoint paths.
     """
-    if _is_large(graph):
-        return _csr_essential(graph, available, targets)
-    available, targets = tuple(available), tuple(targets)
-    _check_nodes(graph, available + targets)
-    targets = set(targets)
-
-    # reverse reachability to the target set (raw graph)
-    radj: dict = {v: [] for v in graph}
-    for u, succs in graph.items():
-        for v in succs:
-            radj[v].append(u)
-    reaches = set(targets)
-    queue = deque(targets)
-    while queue:
-        u = queue.popleft()
-        for v in radj[u]:
-            if v not in reaches:
-                reaches.add(v)
-                queue.append(v)
-    live = reaches.intersection(available)
-    if not live:
-        return 0, frozenset(), frozenset(reaches)
-
-    # arcs into nodes that cannot reach T carry no flow and reroute nothing
-    pruned = {v: [w for w in graph[v] if w in reaches] for v in reaches}
-    labels, index, adj, head, cap, sink_arcs = _build_arrays(
-        pruned, live, targets, len(targets) + 1, 1
-    )
-    s_id = 2 * len(labels)
-    t_id = s_id + 1
-    value, parent = _solve(adj, head, cap, s_id, t_id, sink_arcs)
-    essential = frozenset(a for a in live if parent[2 * index[a]] < 0)
-    return value, essential, frozenset(reaches)
+    net = _solved(graph, available, targets)
+    return net.value, net.essential(), net.reaches_target()

@@ -348,10 +348,12 @@ def parse_system(text: str) -> StructuredSystem:
 
     The well-formed ``edge`` lines (two runs of ASCII digits, separated by
     spaces or tabs) are read in one pass over the text; every other line is
-    read one at a time.  When that pass cannot tell what the line-by-line
-    reading would have done (a line break other than "\\n", an ``edge`` line
-    it cannot read, or an edge before ``n``), the whole text is read line by
-    line instead, so results and errors do not depend on the pass.
+    read one at a time.  "\\r\\n" counts as one line break there, as it does
+    for ``str.splitlines``.  When that pass cannot tell what the line-by-line
+    reading would have done (a line break other than "\\n" or "\\r\\n", an
+    ``edge`` line it cannot read, or an edge before ``n``), the whole text is
+    read line by line instead, so results and errors do not depend on the
+    pass.
 
     Raises:
         ParseError: malformed line (reported with its line number).
@@ -360,10 +362,11 @@ def parse_system(text: str) -> StructuredSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
-    if not any(c in text for c in _LINE_BREAKS):
+    body = text.replace("\r\n", "\n") if "\r" in text else text
+    if not any(c in body for c in _LINE_BREAKS):
         # [text before the first edge line, its endpoints, text up to the
         # next one, ...]; the text left keeps every line break
-        pieces = _EDGE_LINE.split(text)
+        pieces = _EDGE_LINE.split(body)
         first_edge = pieces[0].count("\n") + 1 if len(pieces) > 1 else math.inf
         fields = _read_lines(_numbered_lines("".join(pieces[0::2])), first_edge)
         if fields is not None:

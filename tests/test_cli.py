@@ -72,15 +72,22 @@ class TestClassify:
     def test_json_mapping(self, steering_file, capsys):
         assert main(["classify", steering_file, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == {
+        assert out == {"command": "classify", "solvable": True, "labels": {
             "x1": "essential", "x2": "useful", "x3": "useless", "x4": "useful"
-        }
+        }}
 
     def test_unsolvable_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.sys"
         path.write_text("n 3\navailable 1\ntargets 3\n")
         assert main(["classify", str(path)]) == 1
         assert "UNSOLVABLE" in capsys.readouterr().out
+
+    def test_unsolvable_json_same_envelope(self, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        path.write_text("n 3\navailable 1\ntargets 3\n")
+        assert main(["classify", str(path), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["command"] == "classify" and out["solvable"] is False
 
 
 class TestSolve:

@@ -16,6 +16,7 @@ from netctrl import (
     max_flow,
     max_linking_size,
     maximum_linking,
+    min_cut_source_set,
     minimal_left_separator,
     parse_system,
     preprocess_direct,
@@ -441,3 +442,77 @@ class TestKernelsAgree:
                        essential_start_analysis, maximum_linking):
                 assert op(view, sys_.available, sys_.targets) == op(
                     plain, sys_.available, sys_.targets)
+
+
+@st.composite
+def trimming_cases(draw):
+    """graph_with_sets with a node both available and targeted, an edge into
+    an available node and an edge out of a target: the cases in which the
+    flow paths of the high-level network must be trimmed."""
+    adj, available, targets = draw(graph_with_sets())
+    nodes = sorted(adj)
+    shared = draw(st.sampled_from(nodes))
+    available = tuple(sorted(set(available) | {shared}))
+    targets = tuple(sorted(set(targets) | {shared}))
+    succ = {v: set(w) for v, w in adj.items()}
+    succ[draw(st.sampled_from(nodes))].add(draw(st.sampled_from(available)))
+    succ[draw(st.sampled_from(targets))].add(draw(st.sampled_from(nodes)))
+    return {v: tuple(sorted(w)) for v, w in succ.items()}, available, targets
+
+
+class TestOneNetwork:
+    """Each high-level operation builds one network and solves it once on
+    either kernel, and answers as the linking network of the lower-level
+    functions does."""
+
+    @staticmethod
+    def builds_and_solves(op):
+        """``op``, returning instead of its answer how often it built a
+        Python network, solved a network and preprocessed a graph."""
+        def run(*args):
+            calls = {"build": 0, "solve": 0, "preprocess": 0}
+            with pytest.MonkeyPatch.context() as mp:
+                for key, name in (("build", "_build_arrays"), ("solve", "_solve"),
+                                  ("solve", "maximum_flow"),
+                                  ("preprocess", "preprocess_direct")):
+                    mp.setattr(flow, name, counted(getattr(flow, name), calls, key))
+                op(*args)
+            return calls
+        return run
+
+    @pytest.mark.parametrize("op", [max_linking_size, maximum_linking,
+                                    minimal_left_separator,
+                                    essential_start_analysis])
+    def test_one_build_and_one_solve_per_call(self, op, steering_system):
+        rng = random.Random(16)
+        cases = [(steering_system.state_adjacency(), (1, 2, 3, 4), (8, 9)),
+                 ({1: (), 2: ()}, (1,), (2,)), ({1: ()}, (1,), (1,))]
+        for _ in range(10):
+            sys_ = random_system(rng, max_n=12, max_available=6, max_targets=4)
+            cases.append((sys_.state_adjacency(), sys_.available, sys_.targets))
+        for case in cases:
+            py, csr = both_kernels(self.builds_and_solves(op), *case)
+            assert py == {"build": 1, "solve": 1, "preprocess": 0}
+            assert csr == {"build": 0, "solve": 1, "preprocess": 0}
+
+    @given(trimming_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_separator_of_the_linking_network(self, case):
+        adj, available, targets = case
+        aux = build_auxiliary_graph(preprocess_direct(adj, available, targets),
+                                    available, targets)
+        labelled = min_cut_source_set(aux, max_flow(aux))
+        expected = frozenset(v for v in adj if (v, "-") in labelled
+                             and (v, "+") not in labelled)
+        assert both_kernels(minimal_left_separator, *case) == [expected] * 2
+
+    @given(trimming_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_trimmed_linking_is_maximum(self, case):
+        adj, available, targets = case
+        size = bf_max_linking_size(adj, set(available), set(targets))
+        for linking in both_kernels(maximum_linking, *case):
+            assert linking.size == size
+            assert_valid_linking(linking, adj, available, targets)
+            starts = linking.start_nodes()
+            assert list(starts) == sorted(starts)

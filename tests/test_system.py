@@ -482,6 +482,7 @@ class TestBulkParse:
         ("edge 1 2\nfoo\nn 3\n", 1),
         ("# c\n\nedge 1 2\n", 3),
         ("n 3\r\nedge 1 2\r\nvertex\r\n", 3),
+        ("n 3\r\r\nedge 1 2\r\nvertex\r\n", 4),
         ("n 3\x0cedge 1 2\nvertex\n", 3),
         ("n 3\nedge 1 2\n\u2028vertex\n", 4),
     ])
@@ -500,6 +501,27 @@ class TestBulkParse:
     def test_lines_the_bulk_pass_leaves(self, text):
         assert _outcome(parse_system, text) == _outcome(reference_parse, text)
         assert parse_system(text).state_edges[-1] == (2, 3)
+
+    @pytest.mark.parametrize("text, bulk", [
+        ("n 3\r\nedge 1 2\r\nedge 2 3\r\n", True),
+        ("n 3\nedge 1 2\r\nedge 2 3\n", True),
+        ("n 3\redge 1 2\r\nedge 2 3\r\n", False),
+        ("n 3\r\r\nedge 1 2\r\nedge 2 3\r\n", False),
+    ])
+    def test_crlf_read_in_bulk(self, text, bulk, monkeypatch):
+        # "\r\n" alone keeps a text on the bulk pass, which hands _read_lines
+        # the number of the first edge line; a lone "\r" does not
+        first_edges = []
+        read_lines = netctrl.system._read_lines
+
+        def spy(lines, first_edge=None):
+            first_edges.append(first_edge)
+            return read_lines(lines, first_edge)
+
+        monkeypatch.setattr(netctrl.system, "_read_lines", spy)
+        assert parse_system(text).state_edges == ((1, 2), (2, 3))
+        assert (first_edges[0] is not None) == bulk
+        assert _outcome(parse_system, text) == _outcome(reference_parse, text)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
