@@ -132,7 +132,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     sys_ = _load(args.file)
-    result = solve_mtcp(sys_)
+    result = solve_mtcp(sys_, prefer_small_index=args.prefer_small_index)
     if isinstance(result, Unsolvable):
         payload = {
             "command": "solve",
@@ -355,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=int, nargs="+", metavar="j",
                    help="target nodes (default: the file's target set)")
 
-    add("solve", _cmd_solve, "minimum steering set within the available set")
+    p = add("solve", _cmd_solve, "minimum steering set within the available set")
+    p.add_argument("--prefer-small-index", action="store_true",
+                   help="pick the lexicographically smallest steering set")
     add("classify", _cmd_classify, "label available nodes essential/useful/useless")
     add("linking", _cmd_linking, "maximum available-to-target linking")
     add("separator", _cmd_separator, "minimal left separator")

@@ -211,28 +211,24 @@ def solve_mtcp(
     Solvable iff a linking of size p = |targets| exists from the available
     set; the returned steering set consists of the p start nodes of a maximum
     linking.  With ``prefer_small_index`` the steering set is the
-    lexicographically smallest admissible one (selected greedily, one extra
-    flow computation per available node); otherwise the deterministic flow
-    witness is returned directly.
+    lexicographically smallest admissible one, picked by the matroid greedy
+    of :func:`flow.lexicographic_basis` on one network; otherwise the
+    deterministic flow witness is returned directly.  Either way an
+    unsolvable system gets the same answer.
     """
     if not sys.targets:
         raise ValidationError("system has no targets")
     graph = sys.state_adjacency()
     a_set, t_set = sys.available, sys.targets
     p = len(t_set)
-    linking = flow.maximum_linking(graph, a_set, t_set)
+    if prefer_small_index:
+        steering, linking = flow.lexicographic_basis(graph, a_set, t_set)
+    else:
+        linking = flow.maximum_linking(graph, a_set, t_set)
+        steering = tuple(sorted(linking.start_nodes()))
     if linking.size < p:
         return Unsolvable(achieved_size=linking.size, required=p,
                           best_linking=linking)
-    if prefer_small_index:
-        chosen: list[int] = []
-        for a in sorted(a_set):
-            if len(chosen) == p:
-                break
-            if flow.max_linking_size(graph, chosen + [a], t_set) > len(chosen):
-                chosen.append(a)
-        linking = flow.maximum_linking(graph, chosen, t_set)
-    steering = tuple(sorted(linking.start_nodes()))
     return MtcpSolution(steering=steering, witness=linking)
 
 

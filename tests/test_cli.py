@@ -104,6 +104,30 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "UNSOLVABLE" in capsys.readouterr().out
 
+    def test_prefer_small_index(self, tmp_path, capsys):
+        # x1 x2 and x1 x5 are both admissible; the flag picks the smaller
+        path = tmp_path / "s.sys"
+        path.write_text(STEERING_TEXT.replace("available 1 2 3 4",
+                                              "available 1 2 3 5"))
+        assert main(["solve", str(path), "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert plain["steering_set"] == ["x1", "x5"]
+        assert main(["solve", str(path), "--prefer-small-index", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["command"] == "solve" and out["solvable"] is True
+        assert out["steering_set"] == ["x1", "x2"]
+        assert sorted(p[0] for p in out["witness_paths"]) == ["x1", "x2"]
+        assert main(["solve", str(path), "--prefer-small-index"]) == 0
+        assert "size 2): x1 x2" in capsys.readouterr().out
+
+    def test_prefer_small_index_unsolvable(self, tmp_path, capsys):
+        path = tmp_path / "u.sys"
+        path.write_text("n 4\nedge 1 3\nedge 2 3\navailable 1 2\ntargets 3 4\n")
+        assert main(["solve", str(path), "--json"]) == 1
+        plain = capsys.readouterr().out
+        assert main(["solve", str(path), "--prefer-small-index", "--json"]) == 1
+        assert capsys.readouterr().out == plain
+
 
 class TestCheck:
     def test_chain_negative(self, chain_file, capsys):
@@ -360,7 +384,7 @@ OPTIONS = {
     "check": st.tuples(
         st.one_of(st.just([]), NODE_LISTS.map(lambda v: ["--steering", *v])),
         st.one_of(st.just([]), NODE_LISTS.map(lambda v: ["--targets", *v]))),
-    "solve": st.tuples(),
+    "solve": st.tuples(st.sampled_from([[], ["--prefer-small-index"]])),
     "classify": st.tuples(),
     "linking": st.tuples(),
     "separator": st.tuples(),

@@ -18,13 +18,14 @@ from netctrl import (
 )
 from netctrl import flow
 
-from .conftest import random_system
+from .conftest import EXAMPLE_EDGES, random_system
 from .oracles import (
     bf_classify,
     bf_is_admissible,
     bf_max_linking_size,
     reachable_from,
 )
+from .test_properties import both_kernels, counted
 
 
 class TestFunctionalTargetControllability:
@@ -118,6 +119,52 @@ class TestSolveMtcp:
                     break
             assert best == tuple(sorted(result.steering))
             checked += 1
+
+    def test_prefer_small_index_unsolvable(self):
+        # the greedy keeps fewer than p nodes; the answer is the plain one
+        rng = random.Random(4002)
+        checked = 0
+        while checked < 25:
+            sys_ = random_system(rng)
+            adj = sys_.state_adjacency()
+            if flow.max_linking_size(adj, sys_.available,
+                                     sys_.targets) == len(sys_.targets):
+                continue
+            for result in both_kernels(solve_mtcp, sys_, True):
+                assert isinstance(result, Unsolvable)
+                assert result.best_linking == flow.maximum_linking(
+                    adj, sys_.available, sys_.targets)
+                assert result == solve_mtcp(sys_)
+            checked += 1
+
+    def test_prefer_small_index_builds_one_network(self):
+        # candidate 3 has no path to a target and is passed over; without 1
+        # and 4 only 7 is linked, and the unsolvable answer comes from the
+        # same network
+        sys_ = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
+                                available=(1, 3, 4, 5), targets=(8, 9))
+        short = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
+                                 available=(3, 7), targets=(8, 9))
+
+        def solve(*args):
+            """solve_mtcp's answer, and how often it built a network and
+            called max_linking_size."""
+            calls = {"build": 0, "max_linking_size": 0}
+            with pytest.MonkeyPatch.context() as mp:
+                for key, name in (("build", "_build_arrays"),
+                                  ("build", "_flatten"),
+                                  ("max_linking_size", "max_linking_size")):
+                    mp.setattr(flow, name, counted(getattr(flow, name), calls,
+                                                   key))
+                return solve_mtcp(*args), calls
+
+        for result, calls in both_kernels(solve, sys_, True):
+            assert result.steering == (1, 4)
+            assert calls == {"build": 1, "max_linking_size": 0}
+        for result, calls in both_kernels(solve, short, True):
+            assert result == solve_mtcp(short)
+            assert result.best_linking.paths == ((7, 8),)
+            assert calls == {"build": 1, "max_linking_size": 0}
 
     def test_requires_targets(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -24,11 +25,12 @@ from netctrl import (
     transfer_rank,
 )
 from netctrl import flow
-from netctrl.flow import essential_start_analysis
+from netctrl.flow import essential_start_analysis, lexicographic_basis
 
 from .conftest import random_system
 from .oracles import (
     bf_classify,
+    bf_is_admissible,
     bf_max_linking_size,
     bf_minimum_separators,
     is_separator,
@@ -516,3 +518,88 @@ class TestOneNetwork:
             assert_valid_linking(linking, adj, available, targets)
             starts = linking.start_nodes()
             assert list(starts) == sorted(starts)
+
+
+def first_basis(adj, available, targets):
+    """The first subset of the available set, in lexicographic order, with
+    as many nodes as the largest linking has paths and linked by one."""
+    rank = bf_max_linking_size(adj, set(available), set(targets))
+    return next(combo for combo in combinations(sorted(available), rank)
+                if bf_max_linking_size(adj, set(combo), set(targets)) == rank)
+
+
+class TestLexicographicBasis:
+    """The matroid greedy of the lexicographic solve, on both kernels,
+    against brute-force enumeration."""
+
+    @staticmethod
+    def check(adj, available, targets):
+        """Both kernels' basis, after checking each one's linking: one that
+        starts at exactly the nodes of the basis if it covers every target,
+        and otherwise the one of ``maximum_linking``."""
+        answers = both_kernels(lexicographic_basis, adj, available, targets)
+        plain = both_kernels(flow.maximum_linking, adj, available, targets)
+        for (basis, linking), maximum in zip(answers, plain):
+            assert list(basis) == sorted(basis)
+            if len(basis) < len(set(targets)):
+                assert linking == maximum
+                continue
+            assert linking.start_nodes() == basis
+            assert_valid_linking(linking, adj, basis, targets)
+        assert answers[0][0] == answers[1][0]
+        return answers[0][0]
+
+    def test_first_admissible_subset_on_random_systems(self):
+        rng = random.Random(17)
+        solvable = 0
+        for _ in range(150):
+            sys_ = random_system(rng, max_n=9, max_available=7, max_targets=4,
+                                 edge_factor=2.0)
+            adj, available, targets = (sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+            basis = self.check(adj, available, targets)
+            assert basis == first_basis(adj, available, targets)
+            if len(basis) == len(targets):
+                solvable += 1
+                assert basis == next(
+                    combo for combo in combinations(sorted(available),
+                                                    len(targets))
+                    if bf_is_admissible(adj, combo, targets))
+        assert solvable >= 30
+
+    @given(trimming_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_nodes_and_edges_into_available(self, case):
+        adj, available, targets = case
+        assert self.check(adj, available, targets) == first_basis(*case)
+
+    def test_rerouting(self):
+        # 1's shortest path runs through 2; taking 2 reroutes it over 3 and 6
+        adj = {1: (2, 3), 2: (4,), 3: (6,), 4: (), 5: (), 6: (5,)}
+        for basis, linking in both_kernels(lexicographic_basis, adj, (1, 2),
+                                           (4, 5)):
+            assert basis == (1, 2)
+            assert linking.paths == ((1, 3, 6, 5), (2, 4))
+
+    def test_rerouting_through_a_shared_node(self):
+        # 2 is available and a target and ends 1's shortest path
+        adj = {1: (2, 3), 2: (), 3: (5,), 4: (), 5: ()}
+        for basis, linking in both_kernels(lexicographic_basis, adj, (1, 2),
+                                           (2, 5)):
+            assert basis == (1, 2)
+            assert linking.paths == ((1, 3, 5), (2,))
+
+    def test_rerouting_around_a_self_loop(self):
+        # 1's shortest path runs 8, 17, 7; taking 2 frees 7 by sending 1 back
+        # through 17's halves and on over 9-11, and 3 then needs 17 itself.
+        # With the self-loop on 17 its halves have arcs both ways, so the
+        # step back into 17's entry half and the later step out of it have
+        # two arcs to choose from.
+        adj = {1: (8,), 2: (7,), 3: (17,), 4: (), 5: (), 6: (), 7: (4,),
+               8: (9, 17), 9: (10,), 10: (11,), 11: (5,), 12: (13,), 13: (14,),
+               14: (15,), 15: (16,), 16: (6,), 17: (7, 12, 17)}
+        assert self.check(adj, (1, 2, 3), (4, 5, 6)) == (1, 2, 3)
+        for _, linking in both_kernels(lexicographic_basis, adj, (1, 2, 3),
+                                       (4, 5, 6)):
+            assert linking.paths == ((1, 8, 9, 10, 11, 5), (2, 7, 4),
+                                     (3, 17, 12, 13, 14, 15, 16, 6))
