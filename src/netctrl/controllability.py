@@ -17,7 +17,6 @@ input-connectedness plus a generic-rank test of the composite pattern.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -29,7 +28,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from . import flow
 from .errors import NetctrlError
 from .flow import Linking
-from .system import StructuredSystem, ValidationError, linking_graph
+from .system import StructuredSystem, ValidationError, _check_index, linking_graph
 
 
 class UnsolvableError(NetctrlError, RuntimeError):
@@ -168,11 +167,10 @@ def is_functional_target_controllable(
     in which case a witness linking is returned.  Defaults: the system's
     available set and target set.
     """
-    s_set = tuple(steering) if steering is not None else sys.available
-    t_set = tuple(targets) if targets is not None else sys.targets
-    for v in s_set + t_set:
-        if not 1 <= v <= sys.n:
-            raise ValidationError(f"node {v} out of range 1..{sys.n}")
+    s_set = sys.available if steering is None else tuple(
+        _check_index(v, sys.n, "steering node") for v in steering)
+    t_set = sys.targets if targets is None else tuple(
+        _check_index(v, sys.n, "target node") for v in targets)
     graph = sys.state_adjacency()
     linking = flow.maximum_linking(graph, s_set, t_set)
     ok = linking.size == len(set(t_set))
@@ -263,25 +261,6 @@ def classify_nodes(sys: StructuredSystem) -> NodeClassification:
 # Point-wise structural controllability
 # ---------------------------------------------------------------------------
 
-def _input_reachability(sys: StructuredSystem) -> set[int]:
-    """State nodes reachable from at least one input (multi-source BFS)."""
-    succ = sys.state_adjacency()
-    seeds = [i for col in sys.explicit_inputs for i in col]
-    if isinstance(succ, flow.StateGraph):
-        starts = np.unique(np.array(seeds, dtype=np.int64)) - 1
-        mask = flow.reachable(sys.n, succ.tails, succ.heads, starts)
-        return set((np.flatnonzero(mask) + 1).tolist())
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def generic_rank(sys: StructuredSystem) -> int:
     """Generic rank of the composite [state|input] pattern.
 
@@ -318,8 +297,10 @@ def is_structurally_controllable(sys: StructuredSystem) -> StructuralReport:
     if not sys.explicit_inputs:
         raise ValidationError("structural controllability needs explicit inputs")
     n = sys.n
-    reachable = _input_reachability(sys)
-    unreachable = tuple(i for i in range(1, n + 1) if i not in reachable)
+    tails, heads = sys._edge_arrays
+    starts = sorted({i - 1 for col in sys.explicit_inputs for i in col})
+    reached = flow.reachable(n, tails, heads, starts)
+    unreachable = tuple((np.flatnonzero(~reached) + 1).tolist())
 
     match = _pattern_matching(sys)
     rank = int((match >= 0).sum())

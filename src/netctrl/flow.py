@@ -32,27 +32,34 @@ residual graph, and then one unit is pushed along that path.  A rejected
 candidate leaves the residual graph as it was, so one backward search from
 the sink serves every candidate up to the next one taken.
 
-Two kernels solve the network.  Small ones go through the pure-Python
+Every network, the high-level operations' and :func:`build_auxiliary_graph`'s
+alike, is built from one reading of its graph, :func:`_flatten`: the labels
+ascending, the ascending distinct positions of A and T, and the distinct
+edges as tail and head position arrays sorted by tail, then head.  A
+StateGraph hands over its own arrays; a successor dict is sorted and indexed
+there.  A node of A, T or a successor list that is not a label raises
+``ValueError("node ... not in graph")`` before any network is built.
+
+Two kernels solve the network, and :func:`_network` picks one from the
+number of split and edge arcs.  Small networks go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
 question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
 example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
-flattened to CSR arrays and solved by scipy's Dinic
+laid out as CSR arrays and solved by scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
-however small the network but is several times faster on large ones; a
-StateGraph's arrays go to it as they are.  Dinic starts from the smaller
-terminal set: with fewer targets than sources it solves the reversed network
-from the sink.  Both kernels return the same flow value, separator and
-essential set; the linkings they return are both maximum but may differ.
+however small the network but is several times faster on large ones.  Dinic
+starts from the smaller terminal set: with fewer targets than sources it
+solves the reversed network from the sink.  Both kernels return the same
+flow value, separator and essential set; the linkings they return are both
+maximum but may differ.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -180,8 +187,8 @@ class StateGraph(Mapping):
     ``tails`` and ``heads`` are the 0-based endpoints of the distinct edges,
     sorted by tail, then head; the caller hands them over read-only and they
     are shared, never copied.  Looking node v up returns its successors as a
-    tuple of ints, as a successor dict does; the CSR kernel reads the arrays
-    directly instead.
+    tuple of ints, as a successor dict does; the flow kernels read the
+    arrays directly instead (see :func:`_flatten`).
     """
 
     __slots__ = ("labels", "tails", "heads", "_starts")
@@ -245,22 +252,69 @@ def preprocess_direct(
 # Network construction
 # ---------------------------------------------------------------------------
 
-def _build_arrays(
-    graph: Mapping[Node, Sequence[Node]],
-    available: Sequence[Node],
-    targets: Sequence[Node],
-    inf_cap: int,
-    source_cap: int,
-):
-    """Shared constructor for split-node flow networks.
+def _flatten(graph: Mapping[Node, Sequence[Node]], available: Iterable[Node],
+             targets: Iterable[Node]):
+    """The one reading of a graph and its A/T sets that every network is
+    built from: the labels ascending (a range for a StateGraph), the
+    ascending distinct positions of A and of T, and the distinct edges as
+    (tail, head) position arrays ordered by tail, then head.  A and T are
+    checked before the edges; a node that is not a label raises ValueError.
+    A StateGraph hands over its own edge arrays; a successor dict is sorted
+    and indexed here, and a successor it lists twice is one edge."""
+    labels = graph.labels if isinstance(graph, StateGraph) else sorted(graph)
+    position = _indexer(labels)
+    n = len(labels)
+    try:
+        sources, sinks = (np.array(sorted(set(map(position, nodes))), dtype=np.int64)
+                          for nodes in (available, targets))
+        if isinstance(graph, StateGraph):
+            return labels, sources, sinks, graph.tails, graph.heads
+        keys = np.fromiter((k * n + position(v) for k, u in enumerate(labels)
+                            for v in graph[u]), np.int64)
+    except KeyError as exc:
+        raise ValueError(f"node {exc.args[0]!r} not in graph") from None
+    tails, heads = np.divmod(np.unique(keys), max(n, 1))
+    return labels, sources, sinks, tails, heads
+
+
+def _indexer(labels):
+    """A function from a node to its position in the ascending ``labels``,
+    raising KeyError for a node that is not a label.  In a range the
+    position is found by subtraction from any node that ``operator.index``
+    takes, as ``StateGraph.__contains__`` does; in other labels through a
+    dict."""
+    if not isinstance(labels, range):
+        return {lab: k for k, lab in enumerate(labels)}.__getitem__
+
+    def position(node) -> int:
+        try:
+            k = operator.index(node) - labels.start
+        except TypeError:
+            k = -1
+        if not 0 <= k < len(labels):
+            raise KeyError(node)
+        return k
+    return position
+
+
+def _labels_at(labels, pos: np.ndarray) -> list:
+    """The labels at the positions ``pos``, in that order."""
+    if isinstance(labels, range):
+        return (pos + labels.start).tolist()
+    return [labels[k] for k in pos.tolist()]
+
+
+def _build_arrays(n: int, sources, sinks, tails, heads, inf_cap: int,
+                  source_cap: int):
+    """Arc lists of the split network over ``n`` labels, from the position
+    arrays of :func:`_flatten`.
 
     Arc 2e is the forward direction of edge e, arc 2e+1 its zero-capacity
-    reverse.  Construction order (splits, graph edges sorted, source arcs,
-    sink arcs, each ascending) fixes the BFS tie-break deterministically.
+    reverse.  Construction order (splits, graph edges by tail then head,
+    source arcs, sink arcs, each ascending) fixes the BFS tie-break
+    deterministically.
     """
-    labels = sorted(graph)
-    index = {lab: k for k, lab in enumerate(labels)}
-    n_aux = 2 * len(labels) + 2
+    n_aux = 2 * n + 2
     s_id = n_aux - 2
     t_id = n_aux - 1
 
@@ -280,26 +334,14 @@ def _build_arrays(
         cappend(0)
         return e
 
-    for lab in labels:
-        k2 = 2 * index[lab]
-        add(k2, k2 + 1, 1)
-    for u in labels:
-        ku = 2 * index[u] + 1
-        for v in sorted(graph[u]):
-            add(ku, 2 * index[v], inf_cap)
-    for a in sorted(set(available)):
-        add(s_id, 2 * index[a], source_cap)
-    sink_arcs = []
-    for t in sorted(set(targets)):
-        sink_arcs.append(add(2 * index[t] + 1, t_id, inf_cap))
-
-    return labels, index, adj, head, cap, sink_arcs
-
-
-def _check_nodes(graph: Mapping[Node, Sequence[Node]], nodes: Iterable[Node]):
-    for v in nodes:
-        if v not in graph:
-            raise ValueError(f"node {v!r} not in graph")
+    for k in range(n):
+        add(2 * k, 2 * k + 1, 1)
+    for u, v in zip(tails.tolist(), heads.tolist()):
+        add(2 * u + 1, 2 * v, inf_cap)
+    for a in sources.tolist():
+        add(s_id, 2 * a, source_cap)
+    sink_arcs = [add(2 * t + 1, t_id, inf_cap) for t in sinks.tolist()]
+    return adj, head, cap, sink_arcs
 
 
 def build_auxiliary_graph(
@@ -312,19 +354,18 @@ def build_auxiliary_graph(
     The graph is normally preprocessed with :func:`preprocess_direct` first so
     that extracted flow paths are direct.  Node count is 2n+2 and forward edge
     count is n + |edges| + |A| + |T|.  The "infinite" capacity is the finite
-    sentinel |T| + 1, which exceeds any feasible flow value.
+    sentinel |T| + 1, which exceeds any feasible flow value.  The graph is
+    read by :func:`_flatten`, so a successor listed twice is one edge.
     """
-    available = tuple(sorted(set(available)))
-    targets = tuple(sorted(set(targets)))
-    _check_nodes(graph, available + targets)
-    inf_cap = len(targets) + 1
-    labels, _, adj, head, cap, sink_arcs = _build_arrays(
-        graph, available, targets, inf_cap, inf_cap
+    labels, sources, sinks, tails, heads = _flatten(graph, available, targets)
+    inf_cap = len(sinks) + 1
+    adj, head, cap, sink_arcs = _build_arrays(
+        len(labels), sources, sinks, tails, heads, inf_cap, inf_cap
     )
     return AuxiliaryGraph(
         labels=tuple(labels),
-        available=available,
-        targets=targets,
+        available=tuple(_labels_at(labels, sources)),
+        targets=tuple(_labels_at(labels, sinks)),
         infinite_capacity=inf_cap,
         _adj=tuple(tuple(a) for a in adj),
         _head=tuple(head),
@@ -350,19 +391,8 @@ def _solve(adj, head, res, s_id, t_id, sink_arcs):
     Returns (flow value, visited array of the final exhausted BFS).
     """
     value = 0
-    n_aux = len(adj)
     while True:
-        parent = [-1] * n_aux
-        parent[s_id] = -2
-        queue = deque([s_id])
-        pop = queue.popleft
-        push = queue.append
-        while queue:
-            u = pop()
-            for arc, v in adj[u]:
-                if parent[v] < 0 and res[arc] > 0:
-                    parent[v] = arc
-                    push(v)
+        parent = _search(adj, res, [s_id])
         if parent[t_id] < 0:
             return value, parent
         for sink_arc in sink_arcs:
@@ -382,8 +412,6 @@ def _solve(adj, head, res, s_id, t_id, sink_arcs):
             if not ok:
                 continue
             bottleneck = min(res[arc] for arc in chain)
-            if bottleneck <= 0:
-                continue
             for arc in chain:
                 res[arc] -= bottleneck
                 res[arc ^ 1] += bottleneck
@@ -502,13 +530,11 @@ class _PyFlow:
     capacities ``res`` of its flow, zero until :meth:`solve` augments it to a
     maximum flow by :func:`_solve`."""
 
-    def __init__(self, graph, available: tuple, targets: tuple):
-        _check_nodes(graph, available + targets)
-        self.available, self.targets = set(available), set(targets)
-        (self.labels, self.index, self.adj, self.head, self.cap,
-         self.sink_arcs) = _build_arrays(graph, available, targets,
-                                         len(self.targets) + 1, 1)
-        self.source, self.sink = 2 * len(self.labels), 2 * len(self.labels) + 1
+    def __init__(self, labels, sources, sinks, tails, heads):
+        self.labels, self.sources = labels, sources.tolist()
+        self.adj, self.head, self.cap, self.sink_arcs = _build_arrays(
+            len(labels), sources, sinks, tails, heads, len(sinks) + 1, 1)
+        self.source, self.sink = 2 * len(labels), 2 * len(labels) + 1
         self.res = list(self.cap)
 
     def solve(self) -> None:
@@ -517,13 +543,12 @@ class _PyFlow:
                                          self.source, self.sink, self.sink_arcs)
 
     def essential(self) -> frozenset:
-        return frozenset(a for a in self.available
-                         if self.parent[2 * self.index[a]] < 0)
+        return frozenset(self.labels[k] for k in self.sources
+                         if self.parent[2 * k] < 0)
 
     def separator(self) -> frozenset:
         # every source arc open: a search from s and every available entry half
-        via = _search(self.adj, self.res, [self.source] + [
-            2 * self.index[a] for a in self.available])
+        via = _search(self.adj, self.res, [self.source] + self.entries())
         return frozenset(lab for k, lab in enumerate(self.labels)
                          if via[2 * k] != -1 and via[2 * k + 1] == -1)
 
@@ -540,7 +565,7 @@ class _PyFlow:
 
     def entries(self) -> list:
         """The entry halves of the available nodes, ascending by label."""
-        return [2 * self.index[a] for a in sorted(self.available)]
+        return [2 * k for k in self.sources]
 
     def to_sink(self) -> list:
         """Per node, the arc that a backward search from t over the residual
@@ -574,64 +599,6 @@ class _PyFlow:
 # CSR kernel for large networks
 # ---------------------------------------------------------------------------
 
-def _is_large(graph: Mapping[Node, Sequence[Node]]) -> bool:
-    """Whether networks over ``graph`` are solved by the CSR kernel."""
-    if isinstance(graph, StateGraph):
-        return len(graph) + len(graph.tails) >= CSR_MIN_ARCS
-    return len(graph) + sum(map(len, graph.values())) >= CSR_MIN_ARCS
-
-
-def _flatten(graph: Mapping[Node, Sequence[Node]]):
-    """Labels ascending (a range for a StateGraph), a label -> position mapper
-    (see :func:`_indexer`), and the distinct edges as (tail, head) position
-    arrays ordered by tail, then head.  A StateGraph hands over its own
-    arrays."""
-    if isinstance(graph, StateGraph):
-        return graph.labels, _indexer(graph.labels), graph.tails, graph.heads
-    labels = sorted(graph)
-    n = len(labels)
-    positions = _indexer(labels)
-    succs = list(map(graph.__getitem__, labels))
-    counts = np.fromiter(map(len, succs), np.int64, n)
-    heads = positions(chain.from_iterable(succs), int(counts.sum()))
-    keys = np.repeat(np.arange(n, dtype=np.int64), counts) * n + heads
-    keys.sort()
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
-    return labels, positions, keys // max(n, 1), keys % max(n, 1)
-
-
-def _indexer(labels):
-    """A function from an iterable of nodes to their positions in the
-    ascending ``labels`` (an int64 array), raising ValueError for a node that
-    is not a label.  Positions in a range are found by subtraction, any
-    others through a dict."""
-    if isinstance(labels, range):
-        first, n = labels.start, len(labels)
-
-        def positions(nodes, count=-1):
-            pos = np.fromiter(nodes, np.int64, count) - first
-            missing = (pos < 0) | (pos >= n)
-            if missing.any():
-                raise ValueError(f"node {int(pos[missing][0]) + first} not in graph")
-            return pos
-        return positions
-    index = {lab: k for k, lab in enumerate(labels)}
-
-    def positions(nodes, count=-1):
-        try:
-            return np.fromiter(map(index.__getitem__, nodes), np.int64, count)
-        except KeyError as exc:
-            raise ValueError(f"node {exc.args[0]!r} not in graph") from None
-    return positions
-
-
-def _labels_at(labels, pos: np.ndarray) -> list:
-    """The labels at the positions ``pos``, in that order."""
-    if isinstance(labels, range):
-        return (pos + labels.start).tolist()
-    return [labels[k] for k in pos.tolist()]
-
-
 class _CsrFlow:
     """The network of the high-level operations (see the module docstring),
     held as CSR arrays with its flow ``flow``, zero until :meth:`solve`
@@ -642,9 +609,7 @@ class _CsrFlow:
     holds its arcs ascending by head, and the source's arcs come last.
     """
 
-    def __init__(self, graph, available: tuple, targets: tuple):
-        labels, positions, tails, heads = _flatten(graph)
-        sources, sinks = np.unique(positions(available)), np.unique(positions(targets))
+    def __init__(self, labels, sources, sinks, tails, heads):
         n = len(labels)
         self.labels, self.sources, self.sinks = labels, sources, sinks
         self.source, self.sink = 2 * n, 2 * n + 1
@@ -799,10 +764,18 @@ class _CsrFlow:
 
 
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
-              starts: np.ndarray) -> np.ndarray:
+              starts: Sequence[int]) -> np.ndarray:
     """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
-    along the arcs ``tails[k] -> heads[k]``: one breadth-first search from a
-    virtual node n with an arc to every start."""
+    along the arcs ``tails[k] -> heads[k]``.  Below ``CSR_MIN_ARCS`` nodes
+    plus arcs this is :func:`_search` over successor lists; otherwise one
+    scipy breadth-first search from a virtual node n with an arc to every
+    start."""
+    if n + len(tails) < CSR_MIN_ARCS:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
+            adj[u].append((arc, v))
+        return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
+    starts = np.asarray(starts, dtype=np.int64)
     graph = csr_array(
         (np.ones(len(tails) + len(starts), dtype=np.int8),
          (np.concatenate([tails, np.full(len(starts), n)]),
@@ -823,17 +796,19 @@ def _reached(graph: csr_array, start: int) -> np.ndarray:
 # High-level operations
 # ---------------------------------------------------------------------------
 
-def _network(graph, available: tuple, targets: tuple) -> _PyFlow | _CsrFlow:
+def _network(graph, available: Iterable[Node],
+             targets: Iterable[Node]) -> _PyFlow | _CsrFlow:
     """The network of the high-level operations (see the module docstring)
     over ``graph``, with zero flow, on the kernel that its size calls for."""
-    if _is_large(graph):
-        return _CsrFlow(graph, available, targets)
-    return _PyFlow(graph, available, targets)
+    labels, sources, sinks, tails, heads = _flatten(graph, available, targets)
+    if len(labels) + len(tails) >= CSR_MIN_ARCS:
+        return _CsrFlow(labels, sources, sinks, tails, heads)
+    return _PyFlow(labels, sources, sinks, tails, heads)
 
 
 def _solved(graph, available, targets) -> _PyFlow | _CsrFlow:
     """That network with a maximum flow."""
-    net = _network(graph, tuple(available), tuple(targets))
+    net = _network(graph, available, targets)
     net.solve()
     return net
 

@@ -235,20 +235,11 @@ class StructuredSystem:
         for arr in self._edge_arrays:
             arr.flags.writeable = False
 
-    def state_adjacency(self) -> Mapping[int, tuple[int, ...]]:
-        """Successor map of the state graph, every node 1..n present as a key.
-
-        A graph with at least ``flow.CSR_MIN_ARCS`` nodes plus edges comes as
-        a read-only :class:`flow.StateGraph` over the system's edge arrays; a
-        smaller one as a fresh dict.
-        """
-        tails, heads = self._edge_arrays
-        if self.n + len(tails) >= flow.CSR_MIN_ARCS:
-            return flow.StateGraph(self.n, tails, heads)
-        succ: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for i, j in self.state_edges:
-            succ[i].append(j)
-        return {i: tuple(vs) for i, vs in succ.items()}
+    def state_adjacency(self) -> flow.StateGraph:
+        """Successor map of the state graph, every node 1..n present as a key:
+        a read-only :class:`flow.StateGraph` over the system's edge arrays,
+        which the flow kernels read as they are, at every size."""
+        return flow.StateGraph(self.n, *self._edge_arrays)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Controllability decisions: functional checks, steering selection, labels."""
 
+import math
 import random
 
 import networkx as nx
@@ -57,6 +58,15 @@ class TestFunctionalTargetControllability:
     def test_out_of_range(self, chain_system):
         with pytest.raises(ValidationError):
             is_functional_target_controllable(chain_system, steering=(9,), targets=(1,))
+
+    @pytest.mark.parametrize("n", [4, 600])  # below and above the CSR cutoff
+    @pytest.mark.parametrize("node", [1.5, True, "x", None, 0, 2**70])
+    def test_rejects_what_is_not_a_node(self, n, node):
+        chain = StructuredSystem(n=n, state_edges=[(i, i + 1) for i in range(1, n)])
+        for sets in ({"steering": [node], "targets": [n]},
+                     {"steering": [1], "targets": [node]}):
+            with pytest.raises(ValidationError):
+                is_functional_target_controllable(chain, **sets)
 
 
 class TestFunctionalOutputControllability:
@@ -147,12 +157,12 @@ class TestSolveMtcp:
                                  available=(3, 7), targets=(8, 9))
 
         def solve(*args):
-            """solve_mtcp's answer, and how often it built a network and
-            called max_linking_size."""
-            calls = {"build": 0, "max_linking_size": 0}
+            """solve_mtcp's answer, and how often it read the graph, built a
+            network and called max_linking_size."""
+            calls = {"read": 0, "build": 0, "max_linking_size": 0}
             with pytest.MonkeyPatch.context() as mp:
-                for key, name in (("build", "_build_arrays"),
-                                  ("build", "_flatten"),
+                for key, name in (("read", "_flatten"), ("build", "_PyFlow"),
+                                  ("build", "_CsrFlow"),
                                   ("max_linking_size", "max_linking_size")):
                     mp.setattr(flow, name, counted(getattr(flow, name), calls,
                                                    key))
@@ -160,11 +170,11 @@ class TestSolveMtcp:
 
         for result, calls in both_kernels(solve, sys_, True):
             assert result.steering == (1, 4)
-            assert calls == {"build": 1, "max_linking_size": 0}
+            assert calls == {"read": 1, "build": 1, "max_linking_size": 0}
         for result, calls in both_kernels(solve, short, True):
             assert result == solve_mtcp(short)
             assert result.best_linking.paths == ((7, 8),)
-            assert calls == {"build": 1, "max_linking_size": 0}
+            assert calls == {"read": 1, "build": 1, "max_linking_size": 0}
 
     def test_requires_targets(self):
         with pytest.raises(ValidationError):
@@ -282,8 +292,8 @@ class TestStructuralControllability:
         assert len(all_states) == len(set(all_states))
 
     def test_large_systems_against_bfs_and_networkx(self):
-        # above the cutoff the state graph is a StateGraph, and reachability
-        # from the inputs is one search over the edge arrays
+        # above the cutoff reachability from the inputs is one scipy search
+        # over the edge arrays
         rng = random.Random(16)
         verdicts = set()
         for trial in range(8):
@@ -297,7 +307,7 @@ class TestStructuralControllability:
             inputs[0] += (1,) if 1 not in inputs[0] else ()
             sys_ = StructuredSystem(n=n, state_edges=tuple(edges),
                                     explicit_inputs=tuple(inputs))
-            assert isinstance(sys_.state_adjacency(), flow.StateGraph)
+            assert n + len(sys_.state_edges) >= flow.CSR_MIN_ARCS
             report = is_structurally_controllable(sys_)
 
             succ = {i: [] for i in range(1, n + 1)}
@@ -319,6 +329,25 @@ class TestStructuralControllability:
                                            and report.generic_rank == n)
             verdicts.add((report.input_connected, report.controllable))
         assert len(verdicts) >= 2
+
+    def test_reachability_on_both_sides_of_the_cutoff(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(0, 3 * n))}
+            inputs = (tuple(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))),)
+            sys_ = StructuredSystem(n=n, state_edges=tuple(edges),
+                                    explicit_inputs=inputs)
+            succ = {i: [j for t, j in sys_.state_edges if t == i]
+                    for i in range(1, n + 1)}
+            reached = reachable_from(succ, inputs[0])
+            expected = tuple(i for i in range(1, n + 1) if i not in reached)
+            for cutoff in (math.inf, 0):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
+                    report = is_structurally_controllable(sys_)
+                assert report.unreachable == expected
 
 
 class TestAgreementBetweenOperations:

@@ -87,6 +87,17 @@ class TestAuxiliaryGraph:
         aux = build_auxiliary_graph(steering_system.state_adjacency(), (1, 2, 3, 4), (8, 9))
         assert aux.infinite_capacity == 3  # |T| + 1
 
+    def test_successor_listed_twice_is_one_edge(self):
+        aux = build_auxiliary_graph({1: (2, 2), 2: ()}, (1,), (2,))
+        assert aux.edge_count == 2 + 1 + 1 + 1
+        assert max_flow(aux).value == 1
+
+    def test_nodes_checked_before_edges(self):
+        with pytest.raises(ValueError, match="^node 5 not in graph$"):
+            build_auxiliary_graph({1: (9,)}, (5,), (1,))
+        with pytest.raises(ValueError, match="^node 9 not in graph$"):
+            build_auxiliary_graph({1: (9,)}, (1,), (1,))
+
 
 class TestMaxFlow:
     def test_raw_graph_value(self, steering_system):

@@ -289,23 +289,26 @@ class TestComplexityGrowth:
 def both_kernels(op, *args):
     """``op``'s answer from the pure-Python kernel and from the CSR kernel,
     each forced by moving the size cutoff that chooses between them; a
-    ValueError that ``op`` raises is the answer.  Spies on each kernel's
-    entry (its node check or its flattening) and on its solver check that the
-    forced kernel is the one that ran."""
+    ValueError that ``op`` raises is the answer, and must come before either
+    kernel is built.  Spies on each kernel's construction and on its solver
+    check that the forced kernel is the one that ran."""
     answers = []
     for cutoff, forced, other in ((math.inf, "python", "csr"),
                                   (0, "csr", "python")):
         calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
-            for kernel, name in (("python", "_check_nodes"), ("python", "_solve"),
-                                 ("csr", "_flatten"), ("csr", "maximum_flow")):
+            for kernel, name in (("python", "_PyFlow"), ("python", "_solve"),
+                                 ("csr", "_CsrFlow"), ("csr", "maximum_flow")):
                 mp.setattr(flow, name, counted(getattr(flow, name), calls, kernel))
             try:
                 answer = op(*args)
             except ValueError as exc:
                 answer = exc
-        assert calls[other] == 0 and calls[forced]
+        if isinstance(answer, ValueError):
+            assert calls == {"python": 0, "csr": 0}
+        else:
+            assert calls[other] == 0 and calls[forced]
         answers.append(answer)
     return answers
 
@@ -427,16 +430,38 @@ class TestKernelsAgree:
         for exc in (py_exc, csr_exc):
             assert type(exc) is ValueError and str(exc) == "node 5 not in graph"
 
+    @pytest.mark.parametrize("op", [max_linking_size, maximum_linking,
+                                    minimal_left_separator,
+                                    essential_start_analysis,
+                                    lexicographic_basis])
+    @pytest.mark.parametrize("node", [1.5, "x", None, 2**70, 0, 4])
+    def test_node_not_in_state_graph(self, op, node):
+        # a StateGraph on 1..3 has the labels that operator.index maps there
+        graph = StructuredSystem(n=3, state_edges=((1, 2), (2, 3))).state_adjacency()
+        for available, targets in (([node], [3]), ([1], [node])):
+            for exc in both_kernels(op, graph, available, targets):
+                assert type(exc) is ValueError
+                assert str(exc) == f"node {node!r} not in graph"
+
+    @pytest.mark.parametrize("op", [max_linking_size, maximum_linking,
+                                    minimal_left_separator,
+                                    essential_start_analysis,
+                                    lexicographic_basis])
+    def test_successor_not_in_graph(self, op):
+        for exc in both_kernels(op, {1: (2,), 2: (9,)}, [1], [2]):
+            assert type(exc) is ValueError and str(exc) == "node 9 not in graph"
+
     def test_state_graph_view_against_its_dict(self):
-        # the CSR kernel reads a StateGraph's arrays directly and flattens a
-        # dict; both must give the same answers
+        # _flatten hands a StateGraph's arrays over as they are and reads a
+        # dict into such arrays; on the CSR kernel both must give the same
+        # answers
         rng = random.Random(14)
         checked = 0
         while checked < 5:
             sys_ = random_system(rng, max_n=2000, max_available=200,
                                  max_targets=5, edge_factor=3.0)
             view = sys_.state_adjacency()
-            if not isinstance(view, flow.StateGraph):
+            if sys_.n + len(sys_.state_edges) < flow.CSR_MIN_ARCS:
                 continue
             checked += 1
             plain = dict(view)
@@ -469,12 +494,14 @@ class TestOneNetwork:
 
     @staticmethod
     def builds_and_solves(op):
-        """``op``, returning instead of its answer how often it built a
-        Python network, solved a network and preprocessed a graph."""
+        """``op``, returning instead of its answer how often it read the
+        graph, built a Python network, solved a network and preprocessed a
+        graph."""
         def run(*args):
-            calls = {"build": 0, "solve": 0, "preprocess": 0}
+            calls = {"read": 0, "build": 0, "solve": 0, "preprocess": 0}
             with pytest.MonkeyPatch.context() as mp:
-                for key, name in (("build", "_build_arrays"), ("solve", "_solve"),
+                for key, name in (("read", "_flatten"),
+                                  ("build", "_build_arrays"), ("solve", "_solve"),
                                   ("solve", "maximum_flow"),
                                   ("preprocess", "preprocess_direct")):
                     mp.setattr(flow, name, counted(getattr(flow, name), calls, key))
@@ -494,8 +521,8 @@ class TestOneNetwork:
             cases.append((sys_.state_adjacency(), sys_.available, sys_.targets))
         for case in cases:
             py, csr = both_kernels(self.builds_and_solves(op), *case)
-            assert py == {"build": 1, "solve": 1, "preprocess": 0}
-            assert csr == {"build": 0, "solve": 1, "preprocess": 0}
+            assert py == {"read": 1, "build": 1, "solve": 1, "preprocess": 0}
+            assert csr == {"read": 1, "build": 0, "solve": 1, "preprocess": 0}
 
     @given(trimming_cases())
     @settings(max_examples=100, deadline=None)

@@ -214,16 +214,6 @@ class TestValidation:
         assert sys_.state_edges == ((1, 2), (2, 1))
 
 
-def view_of(sys_):
-    """``sys_.state_adjacency()`` with the cutoff moved so that even a small
-    system returns its array-backed view."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "CSR_MIN_ARCS", 0)
-        view = sys_.state_adjacency()
-    assert isinstance(view, flow.StateGraph)
-    return view
-
-
 @st.composite
 def edge_lists(draw):
     """n and an edge list that may hold self-loops, duplicates and nodes
@@ -239,20 +229,22 @@ class TestStateGraphView:
         n, edges = case
         expected = {i: tuple(sorted({j for t, j in edges if t == i}))
                     for i in range(1, n + 1)}
-        view = view_of(StructuredSystem(n=n, state_edges=tuple(edges)))
+        view = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
         assert dict(view) == expected
         assert view == expected and len(view) == n and list(view) == list(expected)
 
-    def test_chosen_by_size(self):
+    def test_view_at_every_size(self):
+        # the flow kernels read every system's edge arrays as they are
         chain = tuple((i, i + 1) for i in range(1, 600))
-        large = StructuredSystem(n=600, state_edges=chain)
-        assert large.n + len(large.state_edges) >= flow.CSR_MIN_ARCS
-        assert isinstance(large.state_adjacency(), flow.StateGraph)
-        small = StructuredSystem(n=300, state_edges=chain[:299])
-        assert type(small.state_adjacency()) is dict
+        for sys_ in (StructuredSystem(n=2),
+                     StructuredSystem(n=600, state_edges=chain)):
+            view = sys_.state_adjacency()
+            assert type(view) is flow.StateGraph
+            assert view.tails is sys_._edge_arrays[0]
+            assert view.heads is sys_._edge_arrays[1]
 
     def test_missing_keys(self, steering_system):
-        view = view_of(steering_system)
+        view = steering_system.state_adjacency()
         for key in (0, 10, "x", None, (1,)):
             assert key not in view
             with pytest.raises(KeyError):
@@ -260,37 +252,38 @@ class TestStateGraphView:
         assert view.get(10) is None
 
     def test_numpy_int_keys(self, steering_system):
-        view = view_of(steering_system)
+        view = steering_system.state_adjacency()
         plain = dict(view)
         for key in (np.int64(5), np.int32(3), np.uint8(9)):
             assert key in view
             assert view[key] == plain[key]
 
     def test_values_are_tuples_of_python_ints(self, steering_system):
-        for succs in view_of(steering_system).values():
+        for succs in steering_system.state_adjacency().values():
             assert type(succs) is tuple
             assert all(type(v) is int for v in succs)
 
     def test_arrays_read_only(self, steering_system):
-        view = view_of(steering_system)
+        view = steering_system.state_adjacency()
         for arr in (view.tails, view.heads):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
 
     def test_arrays_built_once(self, steering_system):
-        first, second = view_of(steering_system), view_of(steering_system)
+        first = steering_system.state_adjacency()
+        second = steering_system.state_adjacency()
         assert first.tails is second.tails and first.heads is second.heads
 
     def test_identity_unchanged_by_cache(self, steering_system):
         before = hash(steering_system)
         twin = copy.copy(steering_system)
-        view_of(steering_system)
+        steering_system.state_adjacency()
         assert hash(steering_system) == before == hash(twin)
         assert steering_system == twin
         again = pickle.loads(pickle.dumps(steering_system))
         assert again == steering_system and hash(again) == before
-        assert not view_of(again).tails.flags.writeable
+        assert not again.state_adjacency().tails.flags.writeable
 
 
 class TestStrictIntegers:
