@@ -171,32 +171,31 @@ def is_functional_target_controllable(
         _check_index(v, sys.n, "steering node") for v in steering)
     t_set = sys.targets if targets is None else tuple(
         _check_index(v, sys.n, "target node") for v in targets)
-    graph = sys.state_adjacency()
-    linking = flow.maximum_linking(graph, s_set, t_set)
-    ok = linking.size == len(set(t_set))
-    return FunctionalVerdict(
-        controllable=ok,
-        linking_size=linking.size,
-        required=len(set(t_set)),
-        witness=linking if ok else None,
-    )
+    return _verdict(sys.state_adjacency(), s_set, t_set)
 
 
 def is_functional_output_controllable(sys: StructuredSystem) -> FunctionalVerdict:
     """Decide functional output controllability for explicit input/output patterns.
 
-    Uses the full system graph: the verdict is positive iff a maximum
-    input-to-output linking has size equal to the number of outputs.
+    Uses the system's input/output graph (:func:`linking_graph`): the verdict
+    is positive iff a maximum input-to-output linking has size equal to the
+    number of outputs.
     """
     if not sys.explicit_inputs or not sys.explicit_outputs:
         raise ValidationError("explicit input and output patterns are required")
-    graph, inputs, outputs = linking_graph(sys)
-    linking = flow.maximum_linking(graph, inputs, outputs)
-    ok = linking.size == len(outputs)
+    return _verdict(*linking_graph(sys))
+
+
+def _verdict(graph, sources, sinks) -> FunctionalVerdict:
+    """Whether a linking from ``sources`` covers every node of ``sinks``,
+    with a maximum linking as the witness when it does."""
+    linking = flow.maximum_linking(graph, sources, sinks)
+    required = len(set(sinks))
+    ok = linking.size == required
     return FunctionalVerdict(
         controllable=ok,
         linking_size=linking.size,
-        required=len(outputs),
+        required=required,
         witness=linking if ok else None,
     )
 

@@ -9,8 +9,8 @@ vertex-disjoint direct paths from the available set to the target set.
 All operations are pure functions; inputs are never mutated.  Graphs are
 successor mappings ``{node: sequence_of_successors}`` whose keys must cover
 every node and be mutually orderable (ints, or like-shaped tuples): plain
-dicts, or a :class:`StateGraph`, which holds a digraph on nodes 1..n as its
-edge arrays.
+dicts, or a :class:`StateGraph`, which holds a digraph on its ascending
+labels as edge arrays.
 
 Each high-level operation solves one such network over the graph as given,
 with unit source arcs and the sentinel |T| + 1 on edge and sink arcs.  The
@@ -181,23 +181,26 @@ class Linking:
 
 
 class StateGraph(Mapping):
-    """Read-only successor mapping of a digraph on the nodes 1..n, held as
-    its edge arrays.
+    """Read-only successor mapping of a digraph on the ascending ``labels``
+    (``range(1, n + 1)`` for a state graph), held as its edge arrays.
 
-    ``tails`` and ``heads`` are the 0-based endpoints of the distinct edges,
-    sorted by tail, then head; the caller hands them over read-only and they
-    are shared, never copied.  Looking node v up returns its successors as a
-    tuple of ints, as a successor dict does; the flow kernels read the
-    arrays directly instead (see :func:`_flatten`).
+    ``tails`` and ``heads`` are the positions among the labels of the
+    distinct edges' endpoints, sorted by tail, then head; the caller hands
+    them over read-only and they are shared, never copied.  Looking a node
+    up returns its successors as a tuple of labels, as a successor dict
+    does; the flow kernels read the arrays directly instead (see
+    :func:`_flatten`).
     """
 
-    __slots__ = ("labels", "tails", "heads", "_starts")
+    __slots__ = ("labels", "tails", "heads", "_position", "_starts")
 
-    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray):
-        self.labels = range(1, n + 1)
+    def __init__(self, labels: Sequence[Node], tails: np.ndarray,
+                 heads: np.ndarray):
+        self.labels = labels
         self.tails = tails
         self.heads = heads
-        self._starts = None  # per node, its first edge; built on first lookup
+        # built on first lookup: _indexer's function, and per node its first edge
+        self._position = self._starts = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -205,21 +208,14 @@ class StateGraph(Mapping):
     def __iter__(self):
         return iter(self.labels)
 
-    def __contains__(self, node) -> bool:
-        try:
-            return operator.index(node) in self.labels
-        except TypeError:
-            return False
-
-    def __getitem__(self, node) -> tuple[int, ...]:
-        if node not in self:
-            raise KeyError(node)
-        if self._starts is None:
+    def __getitem__(self, node) -> tuple:
+        if self._position is None:
+            self._position = _indexer(self.labels)
             self._starts = np.searchsorted(self.tails,
                                            np.arange(len(self.labels) + 1))
-        k = operator.index(node) - 1
-        return tuple((self.heads[self._starts[k]:self._starts[k + 1]] + 1)
-                     .tolist())
+        k = self._position(node)
+        return tuple(_labels_at(self.labels,
+                                self.heads[self._starts[k]:self._starts[k + 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +276,14 @@ def _flatten(graph: Mapping[Node, Sequence[Node]], available: Iterable[Node],
 def _indexer(labels):
     """A function from a node to its position in the ascending ``labels``,
     raising KeyError for a node that is not a label.  In a range the
-    position is found by subtraction from any node that ``operator.index``
-    takes, as ``StateGraph.__contains__`` does; in other labels through a
-    dict."""
+    position is found by subtraction from any node other than a bool that
+    ``operator.index`` takes; in other labels through a dict."""
     if not isinstance(labels, range):
         return {lab: k for k, lab in enumerate(labels)}.__getitem__
 
     def position(node) -> int:
         try:
-            k = operator.index(node) - labels.start
+            k = -1 if isinstance(node, bool) else operator.index(node) - labels.start
         except TypeError:
             k = -1
         if not 0 <= k < len(labels):

@@ -12,7 +12,7 @@ demonstration of functional controllability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -63,13 +63,12 @@ def instantiate(
     sys: StructuredSystem,
     seed: int = 0,
     value_range: tuple[float, float] = DEFAULT_VALUE_RANGE,
-    steering: Optional[Iterable[int]] = None,
 ) -> NumericInstance:
     """Draw a concrete instance of a structured system's pattern.
 
-    The input matrix uses the explicit input columns when present, otherwise
-    one dedicated column per steering node (default: the available set); the
-    output matrix likewise uses explicit rows or one row per target.
+    B has the input columns and C the output rows of ``sys.io_pattern``: the
+    explicit ones, else one dedicated column per available node and one row
+    per target.
 
     Parameters are drawn in a fixed order (state edges ascending, then input
     columns, then output rows), each as a random sign followed by a magnitude
@@ -92,23 +91,14 @@ def instantiate(
     for i, j in sys._edge_pairs():
         A[j - 1, i - 1] = draw()
 
-    if sys.explicit_inputs:
-        columns: Sequence[Sequence[int]] = sys.explicit_inputs
-    else:
-        chosen = tuple(steering) if steering is not None else sys.available
-        columns = [(i,) for i in chosen]
+    columns, rows = sys.io_pattern
     B = np.zeros((n, len(columns)))
     for k, col in enumerate(columns):
-        for i in sorted(col):
+        for i in col:
             B[i - 1, k] = draw()
-
-    if sys.explicit_outputs:
-        rows: Sequence[Sequence[int]] = sys.explicit_outputs
-    else:
-        rows = [(j,) for j in sys.targets]
     C = np.zeros((len(rows), n))
     for l, row in enumerate(rows):
-        for j in sorted(row):
+        for j in row:
             C[l, j - 1] = draw()
 
     for M in (A, B, C):
@@ -423,7 +413,9 @@ class TrialReport:
 
 
 def structural_transfer_rank(sys: StructuredSystem) -> int:
-    """Generic transfer rank from the graph: the maximum linking size."""
+    """Generic transfer rank from the graph: the maximum input-to-output
+    linking size in the input/output graph of ``sys.io_pattern``, the B and
+    C that :func:`instantiate` draws."""
     return flow.max_linking_size(*linking_graph(sys))
 
 

@@ -177,14 +177,12 @@ class StructuredSystem:
         )
 
     @property
-    def m(self) -> int:
-        """Number of explicit inputs."""
-        return len(self.explicit_inputs)
-
-    @property
-    def p(self) -> int:
-        """Number of explicit outputs, falling back to the target count."""
-        return len(self.explicit_outputs) if self.explicit_outputs else len(self.targets)
+    def io_pattern(self) -> tuple[tuple, tuple]:
+        """The input columns and output rows, each listing its state nodes
+        ascending: the explicit ones, else one column per available node and
+        one row per target.  The I/O graph and the numeric B and C read these."""
+        return (self.explicit_inputs or tuple((a,) for a in self.available),
+                self.explicit_outputs or tuple((t,) for t in self.targets))
 
     @cached_property
     def state_edges(self) -> tuple[tuple[int, int], ...]:
@@ -239,7 +237,7 @@ class StructuredSystem:
         """Successor map of the state graph, every node 1..n present as a key:
         a read-only :class:`flow.StateGraph` over the system's edge arrays,
         which the flow kernels read as they are, at every size."""
-        return flow.StateGraph(self.n, *self._edge_arrays)
+        return flow.StateGraph(range(1, self.n + 1), *self._edge_arrays)
 
 
 @dataclass(frozen=True)
@@ -294,19 +292,28 @@ def build_graph(sys: StructuredSystem) -> SystemGraph:
     )
 
 
-def linking_graph(sys: StructuredSystem) -> tuple[Mapping, Sequence, Sequence]:
+def linking_graph(sys: StructuredSystem) -> tuple[flow.StateGraph, list, list]:
     """The graph, sources and sinks whose maximum linking size is the
-    system's generic transfer rank.
-
-    With explicit inputs and outputs, these are the system graph and its
-    input and output nodes; otherwise the state graph with the available and
-    target sets.
-    """
-    if sys.explicit_inputs and sys.explicit_outputs:
-        g = build_graph(sys)
-        return (g.adjacency(), [("u", k) for k in g.input_nodes],
-                [("y", l) for l in g.output_nodes])
-    return sys.state_adjacency(), sys.available, sys.targets
+    system's generic transfer rank: the :class:`SystemGraph` of
+    ``sys.io_pattern`` with its input and output nodes, as a
+    :class:`flow.StateGraph` on the labels ("u", 1..m), ("x", 1..n),
+    ("y", 1..p) built from the system's edge arrays."""
+    inputs, outputs = sys.io_pattern
+    n, m, p = sys.n, len(inputs), len(outputs)
+    # positions: input k at k - 1, state i at m + i - 1, output l at m + n + l - 1
+    io_edges = np.array(
+        [(k, m + i - 1) for k, col in enumerate(inputs) for i in col]
+        + [(m + i - 1, m + n + l) for l, row in enumerate(outputs) for i in row],
+        dtype=np.int64).reshape(-1, 2)
+    tails, heads = (np.concatenate([io_edges[:, c], m + sys._edge_arrays[c]])
+                    for c in (0, 1))
+    order = np.lexsort((heads, tails))
+    tails, heads = tails[order], heads[order]
+    tails.flags.writeable = heads.flags.writeable = False
+    labels = ([("u", k) for k in range(1, m + 1)]
+              + [("x", i) for i in range(1, n + 1)]
+              + [("y", l) for l in range(1, p + 1)])
+    return flow.StateGraph(labels, tails, heads), labels[:m], labels[m + n:]
 
 
 # ---------------------------------------------------------------------------

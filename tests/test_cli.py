@@ -188,6 +188,16 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["trials"][0]["seed"] == 7
 
+    def test_explicit_inputs_with_targets_agree(self, tmp_path, capsys):
+        # B is the explicit input column and C one row per target, in the
+        # graph as in the numeric instance
+        path = tmp_path / "chain_t3.sys"
+        path.write_text(CHAIN_TEXT + "targets 3\n")
+        assert main(["verify", str(path), "--trials", "5", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [t["structural_rank"] for t in out["trials"]] == [1] * 5
+        assert out["all_agree"] is True
+
 
 class TestTrack:
     def test_network_track_to_csv(self, network_file, tmp_path, capsys):

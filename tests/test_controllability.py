@@ -17,7 +17,8 @@ from netctrl import (
     is_structurally_controllable,
     solve_mtcp,
 )
-from netctrl import flow
+from netctrl import flow, system
+from netctrl.numeric import structural_transfer_rank
 
 from .conftest import EXAMPLE_EDGES, random_system
 from .oracles import (
@@ -78,6 +79,25 @@ class TestFunctionalOutputControllability:
     def test_requires_explicit_io(self, steering_system):
         with pytest.raises(ValidationError):
             is_functional_output_controllable(steering_system)
+
+    @pytest.mark.parametrize("question", [is_functional_output_controllable,
+                                          structural_transfer_rank])
+    def test_reads_the_io_graph_once_as_arrays(self, io_system, question):
+        # the I/O graph is built from the system's arrays, read once, and no
+        # successor dict is made on the way
+        def ask():
+            calls = {"read": 0, "dict": 0}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(flow, "_flatten", counted(flow._flatten, calls, "read"))
+                for owner, name in ((system, "build_graph"),
+                                    (system.SystemGraph, "adjacency")):
+                    mp.setattr(owner, name, counted(getattr(owner, name),
+                                                    calls, "dict"))
+                return question(io_system), calls
+
+        for answer, calls in both_kernels(ask):
+            assert answer == question(io_system)
+            assert calls == {"read": 1, "dict": 0}
 
 
 class TestSolveMtcp:

@@ -1,5 +1,6 @@
 """Numeric oracle: instantiation, ranks, transfer-matrix sampling, tracking."""
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from netctrl import (
     transfer_rank,
 )
 from netctrl.numeric import PreconditionError, discretize_zoh, relative_degree
+
+from .conftest import random_system
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -47,6 +50,15 @@ class TestInstantiate:
         assert not inst.A.any()
         assert inst.B.shape == (2, 1)
         assert inst.C.shape == (1, 2)
+
+    def test_reads_the_io_pattern(self):
+        sys_ = StructuredSystem(n=4, available=(3, 1), targets=(2,),
+                                explicit_outputs=((1, 4), (3,)))
+        inst = instantiate(sys_, seed=1)
+        assert ((inst.B != 0).astype(int).tolist()
+                == [[0, 1], [0, 0], [1, 0], [0, 0]])
+        assert ((inst.C != 0).astype(int).tolist()
+                == [[1, 0, 0, 1], [0, 0, 1, 0]])
 
     def test_seed_determinism_and_variation(self, io_system):
         a = instantiate(io_system, seed=5)
@@ -271,3 +283,25 @@ class TestCrossValidate:
     def test_steering_target_mode(self, steering_system):
         reports = cross_validate(steering_system, trials=5, seed=1)
         assert all(r.structural_rank == 2 and r.agree for r in reports)
+
+    @pytest.mark.parametrize("inputs, outputs", [(False, False), (True, False),
+                                                 (False, True), (True, True)])
+    def test_agrees_on_every_io_shape(self, inputs, outputs):
+        # explicit columns or rows where given, else one per available node
+        # and one per target: the graph and the instance read the same ones
+        rng = random.Random(8 + 2 * inputs + outputs)
+
+        def groups(n):
+            return tuple(tuple(rng.sample(range(1, n + 1), rng.randint(1, min(2, n))))
+                         for _ in range(rng.randint(1, 3)))
+
+        for _ in range(15):
+            base = random_system(rng)
+            sys_ = StructuredSystem(
+                n=base.n, state_edges=base.state_edges, available=base.available,
+                targets=base.targets,
+                explicit_inputs=groups(base.n) if inputs else (),
+                explicit_outputs=groups(base.n) if outputs else (),
+            )
+            reports = cross_validate(sys_, trials=3, seed=rng.randrange(10**6))
+            assert all(r.agree for r in reports), sys_

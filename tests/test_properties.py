@@ -434,9 +434,10 @@ class TestKernelsAgree:
                                     minimal_left_separator,
                                     essential_start_analysis,
                                     lexicographic_basis])
-    @pytest.mark.parametrize("node", [1.5, "x", None, 2**70, 0, 4])
+    @pytest.mark.parametrize("node", [1.5, "x", None, 2**70, 0, 4, True])
     def test_node_not_in_state_graph(self, op, node):
-        # a StateGraph on 1..3 has the labels that operator.index maps there
+        # a StateGraph on 1..3 has the labels other than a bool that
+        # operator.index maps there
         graph = StructuredSystem(n=3, state_edges=((1, 2), (2, 3))).state_adjacency()
         for available, targets in (([node], [3]), ([1], [node])):
             for exc in both_kernels(op, graph, available, targets):

@@ -26,8 +26,10 @@ from netctrl import (
     system_to_json,
 )
 from netctrl import flow
+from netctrl.system import linking_graph
 
 from .oracles import ReferenceParseError, ReferenceValidationError, reference_parse
+from .test_properties import counted
 
 STEERING_TEXT = """\
 # steering-selection example
@@ -245,7 +247,7 @@ class TestStateGraphView:
 
     def test_missing_keys(self, steering_system):
         view = steering_system.state_adjacency()
-        for key in (0, 10, "x", None, (1,)):
+        for key in (0, 10, "x", None, (1,), True):
             assert key not in view
             with pytest.raises(KeyError):
                 view[key]
@@ -284,6 +286,58 @@ class TestStateGraphView:
         again = pickle.loads(pickle.dumps(steering_system))
         assert again == steering_system and hash(again) == before
         assert not again.state_adjacency().tails.flags.writeable
+
+
+@st.composite
+def io_systems(draw):
+    """A system with or without explicit input columns and output rows."""
+    n, edges = draw(edge_lists())
+    nodes = st.integers(min_value=1, max_value=n)
+    node_sets = st.lists(nodes, unique=True, max_size=4)
+    groups = st.lists(st.lists(nodes, unique=True, min_size=1, max_size=3),
+                      max_size=3)
+    return StructuredSystem(n=n, state_edges=tuple(edges),
+                            available=draw(node_sets), targets=draw(node_sets),
+                            explicit_inputs=draw(groups),
+                            explicit_outputs=draw(groups))
+
+
+class TestLinkingGraph:
+    def test_io_pattern(self):
+        implicit = StructuredSystem(n=4, available=(3, 1), targets=(2,))
+        assert implicit.io_pattern == (((3,), (1,)), ((2,),))
+        mixed = StructuredSystem(n=4, available=(3, 1), targets=(2,),
+                                 explicit_inputs=((4, 2),))
+        assert mixed.io_pattern == (((2, 4),), ((2,),))
+
+    @given(io_systems())
+    def test_is_the_system_graph_of_the_io_pattern(self, sys_):
+        graph, inputs, outputs = linking_graph(sys_)
+        columns, rows = sys_.io_pattern
+        g = build_graph(StructuredSystem(n=sys_.n, state_edges=sys_.state_edges,
+                                         explicit_inputs=columns,
+                                         explicit_outputs=rows))
+        assert type(graph) is flow.StateGraph
+        assert dict(graph) == g.adjacency()
+        assert list(graph) == list(g.adjacency())  # ascending
+        assert inputs == [("u", k) for k in g.input_nodes]
+        assert outputs == [("y", l) for l in g.output_nodes]
+
+    def test_missing_keys(self, io_system):
+        graph = linking_graph(io_system)[0]
+        for key in (("x", 0), ("y", 3), ("u", 1.5), 1, "u1", None):
+            assert key not in graph
+            with pytest.raises(KeyError):
+                graph[key]
+
+    def test_positions_indexed_once(self, io_system, monkeypatch):
+        calls = {"index": 0}
+        monkeypatch.setattr(flow, "_indexer",
+                            counted(flow._indexer, calls, "index"))
+        graph = linking_graph(io_system)[0]
+        assert graph[("u", 1)] == (("x", 4), ("x", 7))
+        assert ("x", 9) in graph and ("y", 2) in graph and ("y", 3) not in graph
+        assert calls == {"index": 1}
 
 
 class TestStrictIntegers:
