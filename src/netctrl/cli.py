@@ -70,13 +70,6 @@ def _load(path: str) -> StructuredSystem:
     return parse_system(text)
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
-
-
 def _paths_json(linking: Optional[flow.Linking]) -> Optional[list]:
     if linking is None:
         return None
@@ -98,11 +91,12 @@ def _paths_text(linking: Optional[flow.Linking]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the loaded system and the parsed arguments
+# and returns (verdict, JSON payload without the command envelope, human
+# text); main prints one of the two and maps the verdict to the exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_check(sys_: StructuredSystem, args) -> tuple:
     if args.steering is None and args.targets is None and sys_.explicit_inputs \
             and sys_.explicit_outputs:
         verdict = is_functional_output_controllable(sys_)
@@ -113,7 +107,6 @@ def _cmd_check(args) -> int:
         )
         what = "functionally target controllable"
     payload = {
-        "command": "check",
         "controllable": verdict.controllable,
         "max_linking_size": verdict.linking_size,
         "required": verdict.required,
@@ -126,103 +119,68 @@ def _cmd_check(args) -> int:
     else:
         human = (f"NOT {what} (max linking {verdict.linking_size} "
                  f"< {verdict.required})")
-    _emit(payload, args.json, human)
-    return EXIT_OK if verdict.controllable else EXIT_NEGATIVE
+    return verdict.controllable, payload, human
 
 
-def _cmd_solve(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_solve(sys_: StructuredSystem, args) -> tuple:
     result = solve_mtcp(sys_, prefer_small_index=args.prefer_small_index)
     if isinstance(result, Unsolvable):
         payload = {
-            "command": "solve",
             "solvable": False,
             "achieved_size": result.achieved_size,
             "required": result.required,
             "steering_set": None,
             "witness_paths": _paths_json(result.best_linking),
         }
-        human = (f"UNSOLVABLE: best linking size {result.achieved_size} "
-                 f"< {result.required} targets")
-        _emit(payload, args.json, human)
-        return EXIT_NEGATIVE
+        return False, payload, (f"UNSOLVABLE: best linking size "
+                                f"{result.achieved_size} < {result.required} targets")
+    steering = [_label_str(v) for v in result.steering]
     payload = {
-        "command": "solve",
         "solvable": True,
-        "steering_set": [_label_str(v) for v in result.steering],
+        "steering_set": steering,
         "witness_paths": _paths_json(result.witness),
     }
-    human = (
-        "minimum steering set (size "
-        + str(len(result.steering))
-        + "): "
-        + " ".join(_label_str(v) for v in result.steering)
-        + "\nwitness paths:\n"
-        + _paths_text(result.witness)
-    )
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    human = (f"minimum steering set (size {len(steering)}): " + " ".join(steering)
+             + "\nwitness paths:\n" + _paths_text(result.witness))
+    return True, payload, human
 
 
-def _cmd_classify(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_classify(sys_: StructuredSystem, args) -> tuple:
     try:
         classification = classify_nodes(sys_)
     except UnsolvableError as exc:
-        _emit(
-            {"command": "classify", "solvable": False, "error": str(exc)},
-            args.json,
-            f"UNSOLVABLE: {exc}",
-        )
-        return EXIT_NEGATIVE
+        return False, {"solvable": False, "error": str(exc)}, f"UNSOLVABLE: {exc}"
     mapping = {f"x{i}": label for i, label in classification.as_dict().items()}
     human = "\n".join(f"{name}: {label}" for name, label in mapping.items())
-    _emit({"command": "classify", "solvable": True, "labels": mapping},
-          args.json, human)
-    return EXIT_OK
+    return True, {"solvable": True, "labels": mapping}, human
 
 
-def _cmd_linking(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_linking(sys_: StructuredSystem, args) -> tuple:
     linking = flow.maximum_linking(
         sys_.state_adjacency(), sys_.available, sys_.targets
     )
-    payload = {
-        "command": "linking",
-        "size": linking.size,
-        "paths": _paths_json(linking),
-    }
-    human = f"maximum linking size {linking.size}\n" + _paths_text(linking)
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    payload = {"size": linking.size, "paths": _paths_json(linking)}
+    return True, payload, (f"maximum linking size {linking.size}\n"
+                           + _paths_text(linking))
 
 
-def _cmd_separator(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_separator(sys_: StructuredSystem, args) -> tuple:
     sep = flow.minimal_left_separator(
         sys_.state_adjacency(), sys_.available, sys_.targets
     )
-    ordered = sorted(sep)
-    payload = {
-        "command": "separator",
-        "separator": [_label_str(v) for v in ordered],
-        "size": len(ordered),
-    }
-    human = "minimal left separator: " + (
-        " ".join(_label_str(v) for v in ordered) if ordered else "(empty)"
-    )
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    names = [_label_str(v) for v in sorted(sep)]
+    payload = {"separator": names, "size": len(names)}
+    return True, payload, ("minimal left separator: "
+                           + (" ".join(names) if names else "(empty)"))
 
 
-def _cmd_structural(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_structural(sys_: StructuredSystem, args) -> tuple:
     report = is_structurally_controllable(sys_)
+    unreachable = [f"x{i}" for i in report.unreachable]
     payload = {
-        "command": "structural",
         "controllable": report.controllable,
         "input_connected": report.input_connected,
-        "unreachable": [f"x{i}" for i in report.unreachable],
+        "unreachable": unreachable,
         "generic_rank": report.generic_rank,
         "n": report.n,
         "uncovered": [f"x{i}" for i in report.uncovered],
@@ -233,27 +191,19 @@ def _cmd_structural(args) -> int:
     else:
         reasons = []
         if not report.input_connected:
-            reasons.append(
-                "unreachable states: "
-                + " ".join(f"x{i}" for i in report.unreachable)
-            )
+            reasons.append("unreachable states: " + " ".join(unreachable))
         if report.generic_rank < report.n:
-            reasons.append(
-                f"generic rank {report.generic_rank} < {report.n}"
-            )
+            reasons.append(f"generic rank {report.generic_rank} < {report.n}")
         human = "NOT structurally controllable (" + "; ".join(reasons) + ")"
-    _emit(payload, args.json, human)
-    return EXIT_OK if report.controllable else EXIT_NEGATIVE
+    return report.controllable, payload, human
 
 
-def _cmd_verify(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_verify(sys_: StructuredSystem, args) -> tuple:
     reports = cross_validate(
         sys_, trials=args.trials, seed=args.seed, rel_tol=args.tol
     )
     all_agree = all(r.agree for r in reports)
     payload = {
-        "command": "verify",
         "trials": [
             {
                 "seed": r.seed,
@@ -273,12 +223,15 @@ def _cmd_verify(args) -> int:
         for r in reports
     ]
     lines.append("all trials agree" if all_agree else "some trials disagree")
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if all_agree else EXIT_NEGATIVE
+    return all_agree, payload, "\n".join(lines)
 
 
-def _cmd_track(args) -> int:
-    sys_ = _load(args.file)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _cmd_track(sys_: StructuredSystem, args) -> tuple:
     inst = instantiate(sys_, seed=args.seed)
     task = TrajectoryTask(
         horizon=args.horizon, dt=args.dt, reference=default_reference(inst.p)
@@ -286,18 +239,11 @@ def _cmd_track(args) -> int:
     try:
         result = track_trajectory(inst, task)
     except PreconditionError as exc:
-        _emit(
-            {"command": "track", "tracked": False, "error": str(exc)},
-            args.json,
-            f"REJECTED: {exc}",
-        )
-        return EXIT_NEGATIVE
+        return False, {"tracked": False, "error": str(exc)}, f"REJECTED: {exc}"
     csv_text = trajectory_to_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text)
     payload = {
-        "command": "track",
         "tracked": True,
         "steps": len(result.inputs),
         "startup_steps": result.startup_steps,
@@ -308,27 +254,21 @@ def _cmd_track(args) -> int:
     human = (
         f"tracked {len(result.inputs)} steps (dt={args.dt}); post-startup max "
         f"error {result.max_error:.3e} (grid {result.grid_error:.3e})"
-        + (f"; wrote {args.out}" if args.out else "")
+        # without --out the CSV follows the summary line
+        + (f"; wrote {args.out}" if args.out else "\n" + csv_text.removesuffix("\n"))
     )
-    _emit(payload, args.json, human)
-    if not args.out and not args.json:
-        print(csv_text, end="")
-    return EXIT_OK
+    return True, payload, human
 
 
-def _cmd_export_dot(args) -> int:
-    sys_ = _load(args.file)
+def _cmd_export_dot(sys_: StructuredSystem, args) -> tuple:
     classification = None
     if args.classify:
         classification = classify_nodes(sys_).as_dict()
     dot = serialize_dot(build_graph(sys_), classification)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        print(f"wrote {args.out}")
-    else:
-        print(dot, end="")
-    return EXIT_OK
+        _write(args.out, dot)
+        return True, None, f"wrote {args.out}"
+    return True, None, dot.removesuffix("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
+    def add(name, func, help_, json_output=True):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="system file (line format or JSON)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
+        if json_output:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+        p.set_defaults(func=func, json=False)
         return p
 
     p = add("check", _cmd_check, "decide functional target controllability")
@@ -374,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="instantiation seed")
     p.add_argument("--out", help="write the trajectory CSV to this path")
 
-    p = add("export-dot", _cmd_export_dot, "emit the system graph as DOT")
+    p = add("export-dot", _cmd_export_dot, "emit the system graph as DOT",
+            json_output=False)
     p.add_argument("--classify", action="store_true",
                    help="style available nodes by classification")
     p.add_argument("--out", help="write DOT to this path instead of stdout")
@@ -388,14 +331,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", "absent") is None:
-        try:
-            args.seed = _default_seed()
-        except ValidationError as exc:
-            print(f"netctrl: {exc}", file=_sys.stderr)
-            return EXIT_USAGE
     try:
-        return args.func(args)
+        if getattr(args, "seed", "absent") is None:
+            args.seed = _default_seed()
+        verdict, payload, human = args.func(_load(args.file), args)
+        print(json.dumps({"command": args.command, **payload}, indent=2)
+              if args.json else human)
     except (ParseError, ValidationError, UnsolvableError, OSError) as exc:
         # an UnsolvableError that reaches here is a request (export-dot
         # --classify) that needs a solvable system, not a verdict
@@ -405,6 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("netctrl: not enough memory" + (f": {exc}" if str(exc) else ""),
               file=_sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def entry_point() -> None:

@@ -65,15 +65,6 @@ class NodeClassification:
     useful: frozenset
     useless: frozenset
 
-    def label(self, node: int) -> NodeLabel:
-        if node in self.essential:
-            return NodeLabel.ESSENTIAL
-        if node in self.useful:
-            return NodeLabel.USEFUL
-        if node in self.useless:
-            return NodeLabel.USELESS
-        raise KeyError(f"node {node} is not in the available set")
-
     def as_dict(self) -> dict[int, str]:
         out = {}
         for v in self.essential:

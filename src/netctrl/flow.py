@@ -277,9 +277,18 @@ def _indexer(labels):
     """A function from a node to its position in the ascending ``labels``,
     raising KeyError for a node that is not a label.  In a range the
     position is found by subtraction from any node other than a bool that
-    ``operator.index`` takes; in other labels through a dict."""
+    ``operator.index`` takes; in other labels through a dict, which would
+    also find a label for a bool or a float equal to it, so the label found
+    is checked to be of the node's kind."""
     if not isinstance(labels, range):
-        return {lab: k for k, lab in enumerate(labels)}.__getitem__
+        index = {lab: k for k, lab in enumerate(labels)}
+
+        def position(node) -> int:
+            k = index[node]
+            if not _same_kind(node, labels[k]):
+                raise KeyError(node)
+            return k
+        return position
 
     def position(node) -> int:
         try:
@@ -290,6 +299,24 @@ def _indexer(labels):
             raise KeyError(node)
         return k
     return position
+
+
+def _same_kind(node, label) -> bool:
+    """Whether ``node``, equal to ``label``, is that label: both bools, both
+    integers (numpy's too) or neither, component by component in a tuple."""
+    if isinstance(label, tuple):
+        return all(map(_same_kind, node, label))
+    return type(node) is type(label) or _kind(node) is _kind(label)
+
+
+def _kind(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool
+    try:
+        operator.index(value)
+    except TypeError:
+        return None
+    return int
 
 
 def _labels_at(labels, pos: np.ndarray) -> list:

@@ -28,7 +28,12 @@ class SingularSampleError(NetctrlError, RuntimeError):
 
 
 DEFAULT_REL_TOL = 1e-9
-DEFAULT_VALUE_RANGE = (0.1, 2.0)
+# magnitudes of the drawn parameters: bounded away from zero
+VALUE_RANGE = (0.1, 2.0)
+# random real frequencies at which transfer_rank evaluates the transfer matrix
+FREQUENCY_SAMPLES = 5
+# substeps per sampling interval of track_trajectory's inter-sample simulation
+SUBSTEPS = 8
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class NumericInstance:
     """Concrete (A, B, C) matrices drawn for a structured system's pattern.
 
     Structural zeros are exact 0.0; every free parameter is drawn with random
-    sign and magnitude uniform in ``value_range`` (so |v| >= value_range[0]).
+    sign and magnitude uniform in ``VALUE_RANGE`` (so |v| >= 0.1).
     Matrices are read-only; the draw is deterministic given the seed.
     """
 
@@ -44,7 +49,6 @@ class NumericInstance:
     B: np.ndarray
     C: np.ndarray
     seed: int
-    value_range: tuple[float, float]
 
     @property
     def n(self) -> int:
@@ -59,11 +63,7 @@ class NumericInstance:
         return self.C.shape[0]
 
 
-def instantiate(
-    sys: StructuredSystem,
-    seed: int = 0,
-    value_range: tuple[float, float] = DEFAULT_VALUE_RANGE,
-) -> NumericInstance:
+def instantiate(sys: StructuredSystem, seed: int = 0) -> NumericInstance:
     """Draw a concrete instance of a structured system's pattern.
 
     B has the input columns and C the output rows of ``sys.io_pattern``: the
@@ -72,19 +72,15 @@ def instantiate(
 
     Parameters are drawn in a fixed order (state edges ascending, then input
     columns, then output rows), each as a random sign followed by a magnitude
-    uniform in ``value_range``; the lower bound must be positive so values
-    stay away from zero.
+    uniform in ``VALUE_RANGE``.
     """
-    lo, hi = value_range
-    if not (0 < lo <= hi):
-        raise ValidationError(f"value_range must satisfy 0 < lo <= hi, got {value_range}")
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw() -> float:
         sign = -1.0 if rng.random() < 0.5 else 1.0
-        return sign * rng.uniform(lo, hi)
+        return sign * rng.uniform(*VALUE_RANGE)
 
     n = sys.n
     A = np.zeros((n, n))
@@ -103,7 +99,7 @@ def instantiate(
 
     for M in (A, B, C):
         M.flags.writeable = False
-    return NumericInstance(A=A, B=B, C=C, seed=seed, value_range=(lo, hi))
+    return NumericInstance(A=A, B=B, C=C, seed=seed)
 
 
 def numeric_rank(
@@ -163,26 +159,21 @@ def pointwise_output_ctrb_rank(
     return numeric_rank(np.hstack(blocks), rel_tol)
 
 
-def transfer_rank(
-    inst: NumericInstance,
-    n_samples: int = 5,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> int:
+def transfer_rank(inst: NumericInstance, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Normal rank of the transfer matrix C (sI - A)^-1 B.
 
     The rank of a rational matrix is attained at all but finitely many
-    points, so it is evaluated at ``n_samples`` random real points drawn from
-    [1, 10] away from the eigenvalues of A (resampling near-singular draws),
-    and the maximum is returned.  Deterministic given the instance seed.
+    points, so it is evaluated at ``FREQUENCY_SAMPLES`` random real points
+    drawn from [1, 10] away from the eigenvalues of A (resampling
+    near-singular draws), and the maximum is returned.  Deterministic given
+    the instance seed.
     """
-    if n_samples < 3:
-        raise ValidationError(f"n_samples must be at least 3, got {n_samples}")
     rng = np.random.default_rng([inst.seed, 0x5EED])
     eigs = np.linalg.eigvals(inst.A)
     n = inst.n
     eps = np.finfo(float).eps
     best = 0
-    for _ in range(n_samples):
+    for _ in range(FREQUENCY_SAMPLES):
         for _attempt in range(100):
             s = rng.uniform(1.0, 10.0)
             if np.abs(eigs - s).min() > 1e-6:
@@ -220,7 +211,6 @@ class TrajectoryTask:
     horizon: float
     dt: float
     reference: Callable[[np.ndarray], np.ndarray]
-    substeps: int = 8
     times: Optional[np.ndarray] = None
     reference_samples: Optional[np.ndarray] = None
     inputs: Optional[np.ndarray] = None
@@ -282,7 +272,7 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
     the input sequence minimizing the summed squared output error over the
     grid is found by least squares from zero initial state.  The reported
     ``max_error`` is the post-startup maximum deviation of the continuous
-    response (simulated at ``task.substeps`` substeps per interval) from the
+    response (simulated at ``SUBSTEPS`` substeps per interval) from the
     reference; the startup window is the discrete relative degree, the number
     of steps before the input can influence the output at all.
 
@@ -343,16 +333,15 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
     grid_error = float(np.abs(outputs[r:] - ref[r:]).max())
 
     # substep simulation of the continuous inter-sample response
-    sub = max(1, int(task.substeps))
-    Ads, Bds = discretize_zoh(inst.A, inst.B, dt / sub)
+    Ads, Bds = discretize_zoh(inst.A, inst.B, dt / SUBSTEPS)
     x = np.zeros(n)
     max_error = 0.0
     t_start = r * dt - 1e-12
     for k in range(steps):
         uk = u[k]
-        for s_i in range(sub):
+        for s_i in range(SUBSTEPS):
             x = Ads @ x + Bds @ uk
-            t = (k + (s_i + 1) / sub) * dt
+            t = (k + (s_i + 1) / SUBSTEPS) * dt
             if t >= t_start:
                 err = float(np.abs(inst.C @ x - task.reference(np.array(t))).max())
                 if err > max_error:
@@ -424,7 +413,6 @@ def cross_validate(
     trials: int = 20,
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
-    n_samples: int = 5,
 ) -> list[TrialReport]:
     """Compare the structural transfer rank with numeric ranks across seeds.
 
@@ -438,7 +426,7 @@ def cross_validate(
     reports = []
     for k in range(trials):
         inst = instantiate(sys, seed=seed + k)
-        tr = transfer_rank(inst, n_samples=n_samples, rel_tol=rel_tol)
+        tr = transfer_rank(inst, rel_tol=rel_tol)
         pw = pointwise_output_ctrb_rank(inst, rel_tol=rel_tol)
         reports.append(
             TrialReport(

@@ -479,7 +479,7 @@ def _from_json(text: str) -> StructuredSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
-    if not isinstance(data, dict) or "n" not in data:
+    if "n" not in data:  # text starting with "{" is an object
         raise ParseError("JSON system must be an object with an 'n' field")
     known = {"n", "state_edges", "available", "targets", "explicit_inputs",
              "explicit_outputs"}

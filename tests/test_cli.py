@@ -339,10 +339,24 @@ class TestRejectedRequests:
                      "--dt", "0.1"]) == 2
         self.one_line_error(capsys, "fewer than the 3 startup step(s)")
 
-    @pytest.mark.parametrize("command", ["verify", "track"])
-    def test_negative_seed(self, network_file, command, capsys):
-        assert main([command, network_file, "--seed", "-1"]) == 2
-        self.one_line_error(capsys, "seed must be a non-negative integer")
+    @pytest.mark.parametrize("command, env, expected", [
+        pytest.param("verify", None, "seed must be a non-negative integer",
+                     id="verify"),
+        pytest.param("track", None, "seed must be a non-negative integer",
+                     id="track"),
+        # a default seed that is not an integer is rejected before the file
+        # is read
+        pytest.param("verify", "abc", "NETCTRL_SEED must be an integer, got 'abc'",
+                     id="env-not-an-integer"),
+    ])
+    def test_negative_seed(self, network_file, command, env, expected,
+                           monkeypatch, capsys):
+        seed = ["--seed", "-1"]
+        if env is not None:
+            monkeypatch.setenv("NETCTRL_SEED", env)
+            seed = []
+        assert main([command, network_file, *seed]) == 2
+        self.one_line_error(capsys, expected)
 
 
 # --- fuzzing: any argv over any file exits 0, 1 or 2 and never raises ---

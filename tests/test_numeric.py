@@ -12,6 +12,7 @@ from netctrl import (
     ValidationError,
     cross_validate,
     default_reference,
+    generic_rank,
     instantiate,
     numeric_rank,
     parse_system,
@@ -106,10 +107,6 @@ class TestInstantiate:
                 pinned[r - 1, c - 1] = value
             np.testing.assert_array_equal(getattr(inst, name), pinned)
 
-    def test_value_range_must_exclude_zero(self, io_system):
-        with pytest.raises(ValidationError):
-            instantiate(io_system, value_range=(0.0, 2.0))
-
 
 class TestNumericRank:
     def test_identity(self):
@@ -126,6 +123,17 @@ class TestNumericRank:
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
             numeric_rank(np.eye(2), rel_tol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generic_rank_is_the_rank_of_a_b(self, io_system, chain_system, seed):
+        # x2 and x3 are driven by x1 alone: rows 2 and 3 of [A | B] share
+        # their one column
+        fan = StructuredSystem(n=3, state_edges=((1, 2), (1, 3)),
+                               explicit_inputs=((1,),))
+        for sys_, rank in ((io_system, 9), (chain_system, 3), (fan, 2)):
+            inst = instantiate(sys_, seed=seed)
+            assert numeric_rank(np.hstack([inst.A, inst.B])) == rank
+            assert generic_rank(sys_) == rank
 
 
 class TestPointwiseRanks:
@@ -146,10 +154,8 @@ class TestPointwiseRanks:
             explicit_inputs=((1,),), targets=(2,),
         )
         inst = instantiate(sys_, seed=0)
-        zeroed = type(inst)(
-            A=inst.A, B=inst.B, C=np.zeros_like(inst.C),
-            seed=inst.seed, value_range=inst.value_range,
-        )
+        zeroed = type(inst)(A=inst.A, B=inst.B, C=np.zeros_like(inst.C),
+                            seed=inst.seed)
         assert pointwise_output_ctrb_rank(zeroed) == 0
 
     def test_chain_state_rank_is_three(self, chain_system):
@@ -174,19 +180,13 @@ class TestTransferRank:
             explicit_inputs=((1,),), targets=(3,),
         )
         inst = instantiate(sys_, seed=1)
-        zeroed = type(inst)(
-            A=inst.A, B=np.zeros_like(inst.B), C=inst.C,
-            seed=inst.seed, value_range=inst.value_range,
-        )
+        zeroed = type(inst)(A=inst.A, B=np.zeros_like(inst.B), C=inst.C,
+                            seed=inst.seed)
         assert transfer_rank(zeroed) == 0
 
     def test_deterministic(self, io_system):
         inst = instantiate(io_system, seed=2)
         assert transfer_rank(inst) == transfer_rank(inst)
-
-    def test_sample_count_validation(self, io_system):
-        with pytest.raises(ValidationError):
-            transfer_rank(instantiate(io_system, seed=0), n_samples=2)
 
 
 class TestTracking:

@@ -424,11 +424,17 @@ class TestKernelsAgree:
 
     @pytest.mark.parametrize("op", [max_linking_size, minimal_left_separator,
                                     essential_start_analysis])
-    @pytest.mark.parametrize("available, targets", [([1], [5]), ([5], [1])])
+    # a bool or a float equals an int label, and finds it in a dict, but is
+    # not that node
+    @pytest.mark.parametrize("available, targets", [
+        ([1], [5]), ([5], [1]), ([1], [True]), ([True], [1]), ([1], [2.0]),
+        ([1.0], [2])])
     def test_node_not_in_graph(self, op, available, targets):
+        node, = (v for v in available + targets if type(v) is not int or v == 5)
         py_exc, csr_exc = both_kernels(op, {1: (), 2: ()}, available, targets)
         for exc in (py_exc, csr_exc):
-            assert type(exc) is ValueError and str(exc) == "node 5 not in graph"
+            assert type(exc) is ValueError
+            assert str(exc) == f"node {node!r} not in graph"
 
     @pytest.mark.parametrize("op", [max_linking_size, maximum_linking,
                                     minimal_left_separator,

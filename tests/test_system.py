@@ -120,6 +120,9 @@ class TestParse:
         {"n": True},                         # a boolean is not an integer
         {"n": 3, "state_edges": [[1, 2.5]]},  # nor is a number with a fraction
         {"n": 3, "targets": ["3"]},          # nor a numeric string
+        {"targets": [3]},                    # n is required
+        {"n": 3, "state_edges": [[1, 2, 3]]},  # an edge is a pair
+        {"n": 3, "explicit_inputs": 5},      # rows are an array of arrays
     ])
     def test_json_rejects_values_it_would_have_to_coerce(self, fields):
         with pytest.raises(ParseError):
@@ -325,10 +328,12 @@ class TestLinkingGraph:
 
     def test_missing_keys(self, io_system):
         graph = linking_graph(io_system)[0]
-        for key in (("x", 0), ("y", 3), ("u", 1.5), 1, "u1", None):
+        for key in (("x", 0), ("y", 3), ("u", 1.5), 1, "u1", None,
+                    ("u", True), ("x", 1.0)):
             assert key not in graph
             with pytest.raises(KeyError):
                 graph[key]
+        assert graph[("u", np.int64(1))] == graph[("u", 1)]
 
     def test_positions_indexed_once(self, io_system, monkeypatch):
         calls = {"index": 0}
@@ -532,6 +537,12 @@ class TestBulkParse:
         ("n 3\r\r\nedge 1 2\r\nvertex\r\n", 4),
         ("n 3\x0cedge 1 2\nvertex\n", 3),
         ("n 3\nedge 1 2\n\u2028vertex\n", 4),
+        ("n 3\nn 3\n", 2),
+        ("n 3 4\n", 1),
+        ("n 3\navailable 1\navailable 2\n", 3),
+        ("n 3\ninput\n", 2),
+        ('{"n": 3,\n "available": [1,]\n}', 2),  # invalid JSON
+        ("[3]\n", 1),  # only an object is read as JSON
     ])
     def test_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
