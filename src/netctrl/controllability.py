@@ -22,8 +22,6 @@ from enum import Enum
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import flow
 from .errors import NetctrlError
@@ -268,12 +266,8 @@ def _pattern_matching(sys: StructuredSystem) -> np.ndarray:
     inputs = [(i - 1, n + k) for k, col in enumerate(sys.explicit_inputs)
               for i in col]
     in_rows, in_cols = np.array(inputs, dtype=np.int64).reshape(-1, 2).T
-    rows = np.concatenate([heads, in_rows])
-    cols = np.concatenate([tails, in_cols])
-    pattern = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n + m)
-    )
-    return np.asarray(maximum_bipartite_matching(pattern, perm_type="column"))
+    return flow.bipartite_matching(n, n + m, np.concatenate([heads, in_rows]),
+                                   np.concatenate([tails, in_cols]))
 
 
 def is_structurally_controllable(sys: StructuredSystem) -> StructuralReport:

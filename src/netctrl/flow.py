@@ -52,18 +52,24 @@ starts from the smaller terminal set: with fewer targets than sources it
 solves the reversed network from the sink.  Both kernels return the same
 flow value, separator and essential set; the linkings they return are both
 maximum but may differ.
+
+A maximum bipartite matching is a linking from the columns into the rows
+(:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
+Python kernel's flow, one flow path per matched pair, and from there on
+scipy's Hopcroft-Karp finds it.  scipy is imported only when the first
+network, search or matching of CSR size is built (:func:`_load_scipy`), so
+a process that asks only small questions never loads it.
 """
 
 from __future__ import annotations
 
+import importlib
 import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import NetctrlError
 
@@ -83,6 +89,30 @@ CSR_MIN_ARCS = 1000
 
 class PreconditionError(NetctrlError, RuntimeError):
     """A caller-supplied object violates an operation's precondition."""
+
+
+# scipy's functions of the CSR kernel, by module: imported into this module
+# by _load_scipy() when the first CSR-sized network, search or matching needs
+# them, so that a process asking only small questions never imports scipy
+_SCIPY = {"csr_array": "scipy.sparse",
+          "breadth_first_order": "scipy.sparse.csgraph",
+          "maximum_bipartite_matching": "scipy.sparse.csgraph",
+          "maximum_flow": "scipy.sparse.csgraph"}
+
+
+def _load_scipy() -> None:
+    """Import the functions of ``_SCIPY`` that this module does not hold yet."""
+    for name, module in _SCIPY.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(module), name)
+
+
+def __getattr__(name):
+    # ``flow.maximum_flow`` and the other scipy names load scipy when read
+    if name in _SCIPY:
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +662,7 @@ class _CsrFlow:
     """
 
     def __init__(self, labels, sources, sinks, tails, heads):
+        _load_scipy()
         n = len(labels)
         self.labels, self.sources, self.sinks = labels, sources, sinks
         self.source, self.sink = 2 * n, 2 * n + 1
@@ -736,19 +767,46 @@ class _CsrFlow:
         """The entry halves of the available nodes, ascending by label."""
         return (2 * self.sources).tolist()
 
+    @cached_property
+    def _transposed(self) -> tuple:
+        """The arcs reversed in CSR order, as row starts, columns, the
+        position in ``capacity`` of each one's arc and the sort key
+        row * (2n + 2) + column of each."""
+        cap = self.capacity
+        arcs = csr_array((np.arange(cap.nnz, dtype=np.int32), cap.indices,
+                          cap.indptr), shape=cap.shape).T.tocsr()
+        rows = np.repeat(np.arange(cap.shape[0], dtype=np.int64),
+                         np.diff(arcs.indptr))
+        return (arcs.indptr, arcs.indices, arcs.data,
+                rows * cap.shape[0] + arcs.indices)
+
     def to_sink(self) -> np.ndarray:
         """Per node, its next step on a residual path to the sink, negative
         if it has none: a breadth-first search from t over the residual
-        graph reversed, built from the flow as it is."""
+        graph reversed, built from the flow as it is.
+
+        Its entries are v -> u for each arc u -> v with capacity left (the
+        reversed arcs less the few saturated ones) and u -> v for each of
+        the few arcs carrying flow, inserted into the reversed arcs' rows so
+        that every row lists its columns ascending.  The search visits them
+        in that order, so a pair entered twice (a self-looped node's halves)
+        changes nothing."""
+        indptr, cols, arcs, keys = self._transposed
         cap, flow = self.capacity, self.flow.data
-        tails = np.repeat(np.arange(cap.shape[0], dtype=np.int32),
-                          np.diff(cap.indptr))
-        # residual arcs: u -> v while u -> v has capacity left, v -> u while
-        # it carries flow; each is entered reversed
-        room, carrying = flow < cap.data, flow > 0
-        rows = np.concatenate([cap.indices[room], tails[carrying]])
-        cols = np.concatenate([tails[room], cap.indices[carrying]])
-        backward = csr_array((np.ones(len(rows)), (rows, cols)), shape=cap.shape)
+        room = (flow < cap.data)[arcs]
+        kept_before = np.zeros(len(room) + 1, dtype=np.int32)
+        np.cumsum(room, out=kept_before[1:])
+        carrying = np.flatnonzero(flow > 0)
+        added_rows = np.searchsorted(cap.indptr, carrying, side="right") - 1
+        added_cols = cap.indices[carrying]
+        # the carrying arcs are in CSR order, so their keys ascend
+        at = kept_before[np.searchsorted(keys, added_rows * cap.shape[0]
+                                         + added_cols)]
+        indices = np.insert(cols[room], at, added_cols)
+        starts = kept_before[indptr] + np.searchsorted(
+            added_rows, np.arange(len(indptr)), side="left").astype(np.int32)
+        backward = csr_array((np.ones(len(indices)), indices, starts),
+                             shape=cap.shape)
         return breadth_first_order(backward, self.sink,
                                    return_predecessors=True)[1]
 
@@ -797,6 +855,7 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
         for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
             adj[u].append((arc, v))
         return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
+    _load_scipy()
     starts = np.asarray(starts, dtype=np.int64)
     graph = csr_array(
         (np.ones(len(tails) + len(starts), dtype=np.int8),
@@ -932,3 +991,37 @@ def essential_start_analysis(
     """
     net = _solved(graph, available, targets)
     return net.value, net.essential(), net.reaches_target()
+
+
+def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """Per row, the column matched to it by a maximum matching of the
+    bipartite graph with an edge between row ``rows[k]`` and column
+    ``cols[k]`` for each k, or -1 if it is unmatched.
+
+    A matching is a linking of the digraph with an edge from each column to
+    its rows, from the columns into the rows: each flow path of the
+    network over it is one matched pair (column, row).  Below
+    ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves that network;
+    from there on scipy's Hopcroft-Karp matches the pattern directly, which
+    on a 100 000-row pattern takes a fifth of the time that reading the
+    pairs off the Dinic flow does.
+    """
+    if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
+        _load_scipy()
+        pattern = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                            shape=(n_rows, n_cols))
+        return np.asarray(maximum_bipartite_matching(pattern, perm_type="column"))
+    # the columns are the nodes 0..n_cols-1 and the rows the nodes after them
+    keys = np.unique(np.asarray(cols, dtype=np.int64) * n_rows + rows)
+    tails, heads = np.divmod(keys, max(n_rows, 1))
+    net = _PyFlow(range(n_cols + n_rows), np.arange(n_cols),
+                  np.arange(n_cols, n_cols + n_rows), tails, heads + n_cols)
+    net.solve()
+    # edge k is arc 2(n_cols + n_rows + k), of capacity n_rows + 1, and it
+    # carries one flow path, so its pair is matched, iff less of it is left
+    first = 2 * (n_cols + n_rows)
+    carrying = np.array(net.res[first:first + 2 * len(keys):2]) <= n_rows
+    match = np.full(n_rows, -1, dtype=np.int64)
+    match[heads[carrying]] = tails[carrying]
+    return match

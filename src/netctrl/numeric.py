@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import flow
 from .errors import NetctrlError
@@ -257,6 +256,8 @@ def discretize_zoh(
     A: np.ndarray, B: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization via the augmented matrix exponential."""
+    from scipy.linalg import expm  # the one scipy use of this module
+
     n, m = B.shape
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A * dt

@@ -289,6 +289,10 @@ class TestRejectedRequests:
         assert main(["track", chain_file]) == 2
         self.one_line_error(capsys, "no targets or outputs")
 
+    def test_solve_without_targets(self, chain_file, capsys):
+        assert main(["solve", chain_file]) == 2
+        self.one_line_error(capsys, "system has no targets")
+
     def test_export_dot_classify_unsolvable(self, tmp_path, capsys):
         path = tmp_path / "bad.sys"
         path.write_text("n 3\navailable 1\ntargets 3\n")

@@ -347,11 +347,13 @@ class TestStructuralControllability:
             assert report.generic_rank == len(matching) // 2
             assert report.controllable == (not report.unreachable
                                            and report.generic_rank == n)
+            assert_matching_read_off(report, sys_)
             verdicts.add((report.input_connected, report.controllable))
         assert len(verdicts) >= 2
 
     def test_reachability_on_both_sides_of_the_cutoff(self):
         rng = random.Random(17)
+        full_rank = 0
         for _ in range(40):
             n = rng.randint(1, 30)
             edges = {(rng.randint(1, n), rng.randint(1, n))
@@ -363,11 +365,43 @@ class TestStructuralControllability:
                     for i in range(1, n + 1)}
             reached = reachable_from(succ, inputs[0])
             expected = tuple(i for i in range(1, n + 1) if i not in reached)
+            ranks = set()
             for cutoff in (math.inf, 0):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
                     report = is_structurally_controllable(sys_)
                 assert report.unreachable == expected
+                # below the cutoff the matching is read off the flow kernel,
+                # above it scipy's Hopcroft-Karp finds it
+                assert_matching_read_off(report, sys_)
+                ranks.add(report.generic_rank)
+            assert len(ranks) == 1
+            full_rank += ranks == {n}
+        assert full_rank
+
+
+def assert_matching_read_off(report, sys_):
+    """The rows that ``report``'s maximum matching leaves uncovered are as
+    many as the generic rank misses, and at full rank its stems and cycles
+    cover every state exactly once, each step an entry of [A | B]."""
+    n = sys_.n
+    assert len(report.uncovered) == n - report.generic_rank
+    if report.generic_rank < n:
+        return
+    edges = set(sys_.state_edges)
+    covered = []
+    for (root, k), *chain in report.stems:
+        states = [v for _, v in chain]
+        assert root == "u" and {kind for kind, _ in chain} == {"x"}
+        assert states[0] in sys_.explicit_inputs[k - 1]
+        assert all(step in edges for step in zip(states, states[1:]))
+        covered += states
+    for cycle in report.cycles:
+        states = [v for _, v in cycle]
+        assert {kind for kind, _ in cycle} == {"x"}
+        assert all(step in edges for step in zip(states, states[1:] + states[:1]))
+        covered += states
+    assert sorted(covered) == list(range(1, n + 1))
 
 
 class TestAgreementBetweenOperations:

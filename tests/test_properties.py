@@ -6,8 +6,11 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from netctrl import (
     StructuredSystem,
@@ -554,6 +557,18 @@ class TestOneNetwork:
             assert list(starts) == sorted(starts)
 
 
+def residual_matrix_to_sink(net):
+    """``_CsrFlow.to_sink``'s answer from a search over the residual graph
+    reversed, built by scipy from its (row, column) pairs."""
+    cap, flow_on = net.capacity, net.flow.data
+    tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
+    room, carrying = flow_on < cap.data, flow_on > 0
+    rows = np.concatenate([cap.indices[room], tails[carrying]])
+    cols = np.concatenate([tails[room], cap.indices[carrying]])
+    backward = csr_array((np.ones(len(rows)), (rows, cols)), shape=cap.shape)
+    return breadth_first_order(backward, net.sink, return_predecessors=True)[1]
+
+
 def first_basis(adj, available, targets):
     """The first subset of the available set, in lexicographic order, with
     as many nodes as the largest linking has paths and linked by one."""
@@ -622,6 +637,28 @@ class TestLexicographicBasis:
                                            (2, 5)):
             assert basis == (1, 2)
             assert linking.paths == ((1, 3, 5), (2,))
+
+    def test_backward_search_sees_the_residual_matrix(self, monkeypatch):
+        # the CSR kernel edits the reversed arcs into the residual graph
+        # reversed; its search must take the rows in the order of the matrix
+        # built from the residual graph's (row, column) pairs
+        to_sink, searches = flow._CsrFlow.to_sink, []
+
+        def checked(net):
+            hops = to_sink(net)
+            np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
+            searches.append(net)
+            return hops
+
+        monkeypatch.setattr(flow._CsrFlow, "to_sink", checked)
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        rng = random.Random(18)
+        for _ in range(60):
+            sys_ = random_system(rng, max_n=30, max_available=12,
+                                 max_targets=6, edge_factor=3.0)
+            lexicographic_basis(sys_.state_adjacency(), sys_.available,
+                                sys_.targets)
+        assert len(searches) >= 100
 
     def test_rerouting_around_a_self_loop(self):
         # 1's shortest path runs 8, 17, 7; taking 2 frees 7 by sending 1 back
