@@ -249,10 +249,13 @@ def _cmd_track(sys_: StructuredSystem, args) -> tuple:
         "startup_steps": result.startup_steps,
         "max_error": result.max_error,
         "grid_error": result.grid_error,
+        "solver": result.solver,
+        "condition": result.condition,
         "csv": args.out,
     }
     human = (
-        f"tracked {len(result.inputs)} steps (dt={args.dt}); post-startup max "
+        f"tracked {len(result.inputs)} steps (dt={args.dt}) by {result.solver} "
+        f"(condition {result.condition:.3g}); post-startup max "
         f"error {result.max_error:.3e} (grid {result.grid_error:.3e})"
         # without --out the CSV follows the summary line
         + (f"; wrote {args.out}" if args.out else "\n" + csv_text.removesuffix("\n"))

@@ -203,8 +203,11 @@ class TrajectoryTask:
     the piecewise-constant input sequence (one row per step), ``outputs`` the
     achieved output at the grid points, ``max_error`` the post-startup
     maximum tracking error measured on a substep-refined simulation of the
-    inter-sample behaviour, and ``grid_error`` the same measured at the grid
-    points only.
+    inter-sample behaviour, ``grid_error`` the same measured at the grid
+    points only, ``solver`` the path that found the inputs ("recursion" or
+    "lstsq") and ``condition`` its figure for the conditioning of the solve:
+    an upper bound on cond(G) for "recursion", sigma_1 / sigma_min of G for
+    "lstsq".
     """
 
     horizon: float
@@ -217,6 +220,8 @@ class TrajectoryTask:
     startup_steps: Optional[int] = None
     max_error: Optional[float] = None
     grid_error: Optional[float] = None
+    solver: Optional[str] = None
+    condition: Optional[float] = None
 
     def __post_init__(self):
         for name in ("horizon", "dt"):
@@ -266,16 +271,69 @@ def discretize_zoh(
     return E[:n, :n], E[:n, n:]
 
 
+def _lstsq_inputs(markov: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares inputs for the outputs ``ref`` at grid points 1..N.
+
+    The outputs are y_k = sum_{j<k} markov[k-1-j] u_j, a block-Toeplitz
+    system G u = ref solved by ``np.linalg.lstsq`` at its default cut-off
+    (minimum-norm where G is wide).  Returns the inputs, one row per step, and
+    sigma_1 / sigma_min of G from the singular values lstsq returns.
+    """
+    steps, p, m = markov.shape
+    G = np.zeros((steps, p, steps, m))
+    for d in range(steps):
+        rows = np.arange(d, steps)
+        G[rows, :, rows - d, :] = markov[d]
+    G = G.reshape(steps * p, steps * m)
+    u, _, _, sv = np.linalg.lstsq(G, ref.reshape(-1), rcond=None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = float(sv[0] / sv[-1])
+    return u.reshape(steps, m), condition
+
+
+def _condition_bound(markov: np.ndarray, Ad: np.ndarray, Bd: np.ndarray,
+                     D0inv: np.ndarray, L: np.ndarray) -> float:
+    """Upper bound on the 2-norm condition number of a square G.
+
+    G is lower block-Toeplitz with blocks markov[k] = C Ad^k Bd, and so is its
+    inverse, with the Markov parameters of the inverse system: H_0 = D0^-1
+    and H_k = -L Az^(k-1) Bd D0^-1, where D0 = C Bd, L = D0^-1 C Ad and
+    Az = Ad - Bd L.  The 1- and inf-norms of such a matrix are the largest
+    column and row sums of its summed absolute blocks, and ||M||_2 is at most
+    sqrt(||M||_1 ||M||_inf).  A growing Az overflows the bound to inf or nan.
+    """
+
+    def norm_product(S):
+        return S.sum(axis=0).max() * S.sum(axis=1).max()
+
+    S = np.abs(D0inv)
+    Az = Ad - Bd @ L
+    Y = Bd @ D0inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1, len(markov)):
+            S += np.abs(L @ Y)
+            Y = Az @ Y
+        return float(np.sqrt(norm_product(np.abs(markov).sum(axis=0))
+                             * norm_product(S)))
+
+
 def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryTask:
     """Compute an input sequence following a reference trajectory.
 
     The dynamics are discretized exactly (zero-order hold at ``task.dt``) and
     the input sequence minimizing the summed squared output error over the
-    grid is found by least squares from zero initial state.  The reported
-    ``max_error`` is the post-startup maximum deviation of the continuous
-    response (simulated at ``SUBSTEPS`` substeps per interval) from the
-    reference; the startup window is the discrete relative degree, the number
-    of steps before the input can influence the output at all.
+    grid is found from zero initial state.  Square instances (as many inputs
+    as outputs, C Bd invertible) whose block-Toeplitz matrix G is proven
+    better conditioned than lstsq's cut-off 1 / (eps * steps * p) have the
+    unique solution G^-1 ref, which the discrete inverse system computes in
+    one pass over the steps (``solver`` "recursion"); every other instance
+    is solved by least squares on G (``solver`` "lstsq").  ``condition`` is
+    the proven bound on cond(G) on the first path and sigma_1 / sigma_min of
+    G on the second.  The reported ``max_error`` is the post-startup maximum
+    deviation of the continuous response (simulated at ``SUBSTEPS`` substeps
+    per interval) from the reference; the startup window is the discrete
+    relative degree, the number of steps before the input can influence the
+    output at all.
 
     Raises:
         PreconditionError: if the instance is not right invertible
@@ -296,7 +354,7 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
 
     dt = task.dt
     ratio = task.horizon / dt
-    # the least-squares matrix G below holds (steps * p) x (steps * m) floats
+    # the least-squares matrix G holds (steps * p) x (steps * m) floats
     if ratio * ratio * p * m * 8 > np.iinfo(np.intp).max:
         raise ValidationError(
             f"horizon / dt asks for {ratio:.3g} steps, too many to solve")
@@ -305,58 +363,75 @@ def track_trajectory(inst: NumericInstance, task: TrajectoryTask) -> TrajectoryT
     if steps < r:
         raise ValidationError(
             f"horizon covers {steps} step(s), fewer than the {r} startup step(s)")
-    # allocated first, so that a task too large for memory fails at once
-    G = np.zeros((steps, p, steps, m))
+    # every per-step array is allocated before any per-step work, so that a
+    # step count too large for memory fails at once
+    substeps = np.empty((steps, SUBSTEPS, n))
+    states = np.zeros((steps + 1, n))
+    inputs = np.empty((steps, m))
+    markov = np.empty((steps, p, m))
     # a large dt or horizon overflows to inf or nan, tested for below
     with np.errstate(over="ignore", invalid="ignore"):
         Ad, Bd = discretize_zoh(inst.A, inst.B, dt)
-        markov = np.empty((steps, p, m))
         X = Bd.copy()
         for k in range(steps):
             markov[k] = inst.C @ X
             X = Ad @ X
         times = dt * np.arange(steps + 1)
         ref = np.asarray(task.reference(times), dtype=float).reshape(steps + 1, p)
-    if not (np.isfinite(markov).all() and np.isfinite(ref).all()):
+    if not all(np.isfinite(a).all() for a in (Ad, Bd, markov, ref)):
         raise ValidationError(
             f"dt {dt} and horizon {task.horizon} overflow the sampled "
             "dynamics or the reference")
 
-    # y_k = sum_{j<k} markov[k-1-j] u_j: block-Toeplitz least squares
-    for d in range(steps):
-        rows = np.arange(d, steps)
-        G[rows, :, rows - d, :] = markov[d]
-    G = G.reshape(steps * p, steps * m)
-    u = np.linalg.lstsq(G, ref[1:].reshape(-1), rcond=None)[0].reshape(steps, m)
+    solver = "lstsq"
+    if m == p and numeric_rank(markov[0]) == p:
+        D0inv = np.linalg.inv(markov[0])
+        L = D0inv @ inst.C @ Ad
+        condition = _condition_bound(markov, Ad, Bd, D0inv, L)
+        if condition < 1 / (np.finfo(float).eps * steps * p):
+            # lstsq truncates no singular value of G here: its answer is the
+            # inverse system's, u_k = D0^-1 (ref_k+1 - C Ad x_k)
+            solver = "recursion"
+            W = ref[1:] @ D0inv.T
+            for k in range(steps):
+                inputs[k] = W[k] - L @ states[k]
+                states[k + 1] = Ad @ states[k] + Bd @ inputs[k]
+    if solver == "lstsq":
+        inputs, condition = _lstsq_inputs(markov, ref[1:])
+        for k in range(steps):
+            states[k + 1] = Ad @ states[k] + Bd @ inputs[k]
 
-    outputs = np.vstack([np.zeros((1, p)), (G @ u.reshape(-1)).reshape(steps, p)])
-
+    outputs = states @ inst.C.T
     grid_error = float(np.abs(outputs[r:] - ref[r:]).max())
 
-    # substep simulation of the continuous inter-sample response
+    # the continuous inter-sample response: s substeps after grid point k the
+    # state is Ads^s x_k + Gamma_s u_k, with Gamma_s = sum_{i<s} Ads^i Bds
     Ads, Bds = discretize_zoh(inst.A, inst.B, dt / SUBSTEPS)
-    x = np.zeros(n)
-    max_error = 0.0
-    t_start = r * dt - 1e-12
-    for k in range(steps):
-        uk = u[k]
-        for s_i in range(SUBSTEPS):
-            x = Ads @ x + Bds @ uk
-            t = (k + (s_i + 1) / SUBSTEPS) * dt
-            if t >= t_start:
-                err = float(np.abs(inst.C @ x - task.reference(np.array(t))).max())
-                if err > max_error:
-                    max_error = err
+    Phi = np.empty((SUBSTEPS, n, n))
+    Gamma = np.empty((SUBSTEPS, n, m))
+    P, Q = np.eye(n), np.zeros((n, m))
+    for s_i in range(SUBSTEPS):
+        P, Q = Ads @ P, Ads @ Q + Bds
+        Phi[s_i], Gamma[s_i] = P, Q
+    np.matmul(states[:-1], Phi.reshape(-1, n).T, out=substeps.reshape(steps, -1))
+    substeps += (inputs @ Gamma.reshape(-1, m).T).reshape(substeps.shape)
+    t_sub = dt * (np.arange(steps)[:, None] + np.arange(1, SUBSTEPS + 1) / SUBSTEPS)
+    ref_sub = np.asarray(task.reference(t_sub.reshape(-1)), dtype=float).reshape(-1, p)
+    after = (t_sub >= r * dt - 1e-12).reshape(-1)
+    max_error = float(np.abs(substeps.reshape(-1, n)[after] @ inst.C.T
+                             - ref_sub[after]).max())
 
     return replace(
         task,
         times=times,
         reference_samples=ref,
-        inputs=u,
+        inputs=inputs,
         outputs=outputs,
         startup_steps=r,
         max_error=max_error,
         grid_error=grid_error,
+        solver=solver,
+        condition=condition,
     )
 
 

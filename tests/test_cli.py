@@ -208,6 +208,8 @@ class TestTrack:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tracked"] is True
         assert payload["max_error"] < 1e-3
+        assert payload["solver"] == "recursion"
+        assert payload["condition"] >= 1
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("t,ref_1")
         assert len(lines) == 52  # header + 51 grid points
@@ -329,6 +331,9 @@ class TestRejectedRequests:
         ("1e308", "1e-10", "too many to solve"),
         ("1e308", "1", "too many to solve"),
         ("1e308", "1e308", "overflow the sampled dynamics"),
+        # 10^8 steps: the per-step arrays (a 54 GiB substep block among them)
+        # are allocated before any per-step work
+        ("1e4", "1e-4", "not enough memory"),
     ])
     def test_track_step_count_out_of_reach(self, network_file, horizon, dt,
                                            expected, capsys):

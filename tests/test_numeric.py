@@ -22,7 +22,13 @@ from netctrl import (
     trajectory_to_csv,
     transfer_rank,
 )
-from netctrl.numeric import PreconditionError, discretize_zoh, relative_degree
+from netctrl.numeric import (
+    NumericInstance,
+    PreconditionError,
+    _lstsq_inputs,
+    discretize_zoh,
+    relative_degree,
+)
 
 from .conftest import random_system
 
@@ -261,6 +267,79 @@ class TestTracking:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "t,ref_1,ref_2,y_1,y_2,u_1,u_2"
         assert len(lines) == 12  # header + 11 grid points
+
+    @staticmethod
+    def lstsq_inputs(inst, task):
+        """Inputs and sigma_1 / sigma_min of the least-squares solve, built
+        from the Markov parameters as track_trajectory builds them."""
+        steps = int(round(task.horizon / task.dt))
+        Ad, Bd = discretize_zoh(inst.A, inst.B, task.dt)
+        markov = np.empty((steps, inst.p, inst.m))
+        X = Bd
+        for k in range(steps):
+            markov[k] = inst.C @ X
+            X = Ad @ X
+        return _lstsq_inputs(markov, task.reference(task.dt * np.arange(1, steps + 1)))
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005])
+    def test_recursion_matches_lstsq_on_network(self, dt):
+        inst = instantiate(parse_system((SAMPLES / "network.sys").read_text()), seed=42)
+        task = TrajectoryTask(horizon=5.0, dt=dt, reference=default_reference(2))
+        out = track_trajectory(inst, task)
+        u, condition = self.lstsq_inputs(inst, task)
+        assert out.solver == "recursion"
+        assert np.abs(out.inputs - u).max() <= 1e-6 * np.abs(u).max()
+        # the gate's figure bounds the condition number from above
+        assert out.condition >= condition
+
+    def test_recursion_matches_lstsq_on_random_square_instances(self):
+        # dense random (A, B, C) with m = p: C Bd is invertible and G well
+        # conditioned on almost every draw
+        recursions = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+            inst = NumericInstance(
+                A=rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4),
+                B=rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.5),
+                C=rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5),
+                seed=seed,
+            )
+            task = TrajectoryTask(horizon=1.0, dt=0.01, reference=default_reference(m))
+            try:
+                out = track_trajectory(inst, task)
+            except PreconditionError:
+                continue
+            if out.solver != "recursion":
+                continue
+            recursions += 1
+            u, condition = self.lstsq_inputs(inst, task)
+            assert np.abs(out.inputs - u).max() <= 1e-6 * np.abs(u).max(), seed
+            assert out.condition >= condition, seed
+        assert recursions >= 10
+
+    def test_gate_keeps_ill_conditioned_square_instance_on_lstsq(self, chain_system):
+        # relative degree 3: a sampling zero outside the unit circle makes the
+        # inverse system grow without bound, though C Bd is invertible
+        sys_ = StructuredSystem(n=4, state_edges=chain_system.state_edges,
+                                explicit_inputs=((1,),), targets=(3,))
+        inst = instantiate(sys_, seed=0)
+        task = TrajectoryTask(horizon=1.0, dt=0.01, reference=default_reference(1))
+        Ad, Bd = discretize_zoh(inst.A, inst.B, task.dt)
+        assert numeric_rank(inst.C @ Bd) == 1
+        out = track_trajectory(inst, task)
+        u, condition = self.lstsq_inputs(inst, task)
+        assert out.solver == "lstsq"
+        assert np.isfinite(out.inputs).all()
+        assert np.array_equal(out.inputs, u)
+        assert out.condition == condition
+
+    def test_wide_instance_takes_lstsq(self, steering_system):
+        inst = instantiate(steering_system, seed=42)
+        task = TrajectoryTask(horizon=1.0, dt=0.01, reference=default_reference(2))
+        out = track_trajectory(inst, task)
+        assert out.solver == "lstsq"
+        assert np.array_equal(out.inputs, self.lstsq_inputs(inst, task)[0])
 
     def test_untracked_task_has_no_csv(self):
         with pytest.raises(ValidationError):
