@@ -23,6 +23,16 @@ open.  The lower-level functions build the linking network instead, over
 ``preprocess_direct``'s graph with source arcs at |T| + 1: no finite cut of
 it crosses an edge into A or out of T, so both have the same minimum cuts.
 
+One solved network answers all four questions, so it is kept for the next:
+a StateGraph over read-only edge arrays, such as a system's
+``state_adjacency()``, holds the last CSR-sized network solved over it,
+keyed by the positions of A and T, until a question on other sets replaces
+it (:func:`_solved`).  Only one is held, so a graph keeps at most one
+network however many sets it is asked about, and only a CSR-sized one: the
+Python kernel solves a small network in 10-100 us, while a batch of small
+systems would each hold theirs.  A dict, or a StateGraph over writable
+arrays, which may change under it, keeps none.
+
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
 lexicographically smallest maximal one (:func:`lexicographic_basis`).  It
@@ -222,7 +232,8 @@ class StateGraph(Mapping):
     :func:`_flatten`).
     """
 
-    __slots__ = ("labels", "tails", "heads", "_position", "_starts")
+    __slots__ = ("labels", "tails", "heads", "_position", "_starts",
+                 "_last_solved")
 
     def __init__(self, labels: Sequence[Node], tails: np.ndarray,
                  heads: np.ndarray):
@@ -231,6 +242,9 @@ class StateGraph(Mapping):
         self.heads = heads
         # built on first lookup: _indexer's function, and per node its first edge
         self._position = self._starts = None
+        # (key, network) of the last CSR-sized network solved over read-only
+        # edge arrays, or None: see _solved
+        self._last_solved = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -877,20 +891,40 @@ def _reached(graph: csr_array, start: int) -> np.ndarray:
 # High-level operations
 # ---------------------------------------------------------------------------
 
-def _network(graph, available: Iterable[Node],
-             targets: Iterable[Node]) -> _PyFlow | _CsrFlow:
+def _network(labels, sources, sinks, tails, heads) -> _PyFlow | _CsrFlow:
     """The network of the high-level operations (see the module docstring)
-    over ``graph``, with zero flow, on the kernel that its size calls for."""
-    labels, sources, sinks, tails, heads = _flatten(graph, available, targets)
+    over :func:`_flatten`'s reading of a graph, with zero flow, on the
+    kernel that its size calls for."""
     if len(labels) + len(tails) >= CSR_MIN_ARCS:
         return _CsrFlow(labels, sources, sinks, tails, heads)
     return _PyFlow(labels, sources, sinks, tails, heads)
 
 
 def _solved(graph, available, targets) -> _PyFlow | _CsrFlow:
-    """That network with a maximum flow."""
-    net = _network(graph, available, targets)
+    """That network with a maximum flow, never to be changed by the caller.
+
+    A StateGraph over read-only edge arrays keeps the last CSR-sized one
+    solved over it, keyed by the positions of A and T, with its flow made
+    read-only, and hands it back for the same sets.  The graph is read, and
+    its nodes checked, every time."""
+    flat = _flatten(graph, available, targets)
+    labels, sources, sinks, tails, heads = flat
+    kept = (isinstance(graph, StateGraph)
+            and len(labels) + len(tails) >= CSR_MIN_ARCS
+            and not (tails.flags.writeable or heads.flags.writeable))
+    if kept:
+        key = (sources.tobytes(), sinks.tobytes())
+        last = graph._last_solved
+        if last is not None and last[0] == key:
+            return last[1]
+        # both references dropped, so the old network is freed before the
+        # new one is built
+        last = graph._last_solved = None
+    net = _network(*flat)
     net.solve()
+    if kept:
+        net.flow.data.flags.writeable = False
+        graph._last_solved = (key, net)
     return net
 
 
@@ -934,7 +968,7 @@ def lexicographic_basis(
     same network solved afresh.
     """
     available, targets = tuple(available), tuple(targets)
-    net = _network(graph, available, targets)
+    net = _network(*_flatten(graph, available, targets))
     rank = len(set(targets))
     chosen, hops = [], None
     for v in net.entries():

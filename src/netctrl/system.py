@@ -124,7 +124,13 @@ class StructuredSystem:
     tails and heads sorted by tail, then head; ``state_edges``, the tuple of
     1-based pairs, is derived from them on first use.
 
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  The one
+    mutable part is a cache: ``state_adjacency()`` keeps its state graph,
+    and that graph keeps its last solved CSR-sized network
+    (``flow._solved``).  Each is published in one step (a dict
+    ``setdefault``, a slot assignment), which a thread sees whole or not at
+    all, and a stored network's flow is read-only once solved, so a question
+    never sees another's half-built or changed state.
     """
 
     def __init__(
@@ -225,7 +231,9 @@ class StructuredSystem:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("state_edges", None)  # derived on demand, not pickled
+        # derived on demand, not pickled
+        state.pop("state_edges", None)
+        state.pop("_state_graph", None)
         return state
 
     def __setstate__(self, state):
@@ -236,8 +244,15 @@ class StructuredSystem:
     def state_adjacency(self) -> flow.StateGraph:
         """Successor map of the state graph, every node 1..n present as a key:
         a read-only :class:`flow.StateGraph` over the system's edge arrays,
-        which the flow kernels read as they are, at every size."""
-        return flow.StateGraph(range(1, self.n + 1), *self._edge_arrays)
+        which the flow kernels read as they are, at every size.  The same
+        graph on every call, so that the network it keeps serves every
+        later question on the same sets."""
+        graph = self.__dict__.get("_state_graph")
+        if graph is None:
+            graph = self.__dict__.setdefault(
+                "_state_graph",
+                flow.StateGraph(range(1, self.n + 1), *self._edge_arrays))
+        return graph
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from netctrl import (
     is_structurally_controllable,
     max_flow,
     max_linking_size,
+    maximum_linking,
     min_cut_source_set,
     minimal_left_separator,
     pointwise_output_ctrb_rank,
@@ -33,6 +34,7 @@ from netctrl import (
     track_trajectory,
     transfer_rank,
 )
+from netctrl import flow
 from netctrl.flow import SOURCE
 from netctrl.numeric import PreconditionError
 
@@ -204,7 +206,7 @@ def test_criterion_6_brute_force_equivalence():
     _report("6", "50/50 systems agree with enumeration oracles")
 
 
-def test_criterion_7_complexity_smoke():
+def test_criterion_7_complexity_smoke(monkeypatch):
     # seed chosen so the instance is solvable (a random target with no
     # incoming edge would make classification undefined)
     rng = random.Random(8)
@@ -218,16 +220,32 @@ def test_criterion_7_complexity_smoke():
         n=n, state_edges=tuple(edges), available=available, targets=targets
     )
 
+    # the four questions on the system's own sets share one solved network
+    built = []
+    build = flow._CsrFlow
+
+    def counted_build(*args):
+        built.append(len(args[0]))
+        return build(*args)
+
+    monkeypatch.setattr(flow, "_CsrFlow", counted_build)
+    graph = sys_.state_adjacency()
     start = time.perf_counter()
     classification = classify_nodes(sys_)
+    solution = solve_mtcp(sys_)
+    separator = minimal_left_separator(graph, available, targets)
+    linking = maximum_linking(graph, available, targets)
     elapsed = time.perf_counter() - start
 
     labelled = (
         classification.essential | classification.useful | classification.useless
     )
     assert labelled == set(available)
+    assert len(solution.steering) == len(separator) == linking.size == 10
+    assert built == [n]
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
-    _report("7", f"classified n=100000, e=300000, p=10 in {elapsed:.2f} s")
+    _report("7", f"classified, solved, separated and linked n=100000, "
+                 f"e=300000, p=10 in {elapsed:.2f} s")
 
 
 def test_criterion_8_trajectory_demo(io_system, chain_system):

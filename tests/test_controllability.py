@@ -1,7 +1,9 @@
 """Controllability decisions: functional checks, steering selection, labels."""
 
 import math
+import pickle
 import random
+import threading
 
 import networkx as nx
 import pytest
@@ -426,3 +428,154 @@ class TestAgreementBetweenOperations:
         sol = solve_mtcp(steering_system)
         essential = classify_nodes(steering_system).essential
         assert essential <= set(sol.steering)
+
+
+def csr_sized_system(**changes) -> StructuredSystem:
+    """A solvable random system of 2000 nodes and about 6000 edges, above
+    ``flow.CSR_MIN_ARCS``, with |A| = 8 and |T| = 4; ``changes`` replace its
+    fields."""
+    rng = random.Random(1)
+    n = 2000
+    edges = sorted({(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)})
+    nodes = rng.sample(range(1, n + 1), 12)
+    fields = dict(n=n, state_edges=edges, available=nodes[:8], targets=nodes[8:])
+    return StructuredSystem(**{**fields, **changes})
+
+
+def four_questions(sys_):
+    """The classification, minimal steering set, separator and linking of a
+    system on its own sets."""
+    graph = sys_.state_adjacency()
+    return (classify_nodes(sys_), solve_mtcp(sys_),
+            flow.minimal_left_separator(graph, sys_.available, sys_.targets),
+            flow.maximum_linking(graph, sys_.available, sys_.targets))
+
+
+class TestOneSolvePerSets:
+    """A system's state graph keeps its last solved CSR-sized network, and
+    every later question on the same available and target sets reads its
+    answer off it."""
+
+    @staticmethod
+    def builds_and_solves(question, *args):
+        """``question``'s answer, and how many CSR networks it built and
+        solved."""
+        calls = {"build": 0, "solve": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            for key, name in (("build", "_CsrFlow"), ("solve", "maximum_flow")):
+                mp.setattr(flow, name, counted(getattr(flow, name), calls, key))
+            return question(*args), calls
+
+    def test_one_solve_for_the_four_questions(self):
+        sys_ = csr_sized_system()
+        answers, calls = self.builds_and_solves(four_questions, sys_)
+        assert calls == {"build": 1, "solve": 1}
+        classes, solution, separator, linking = answers
+        assert classes.useless and not isinstance(solution, Unsolvable)
+        kept = sys_.state_adjacency()._last_solved[1]
+        assert not kept.flow.data.flags.writeable
+        # a fresh system builds its own network and answers the same
+        assert answers == four_questions(csr_sized_system())
+        # a check on another steering set builds anew, and so does the next
+        # question on the system's own sets
+        steering = sys_.available[:5]
+        verdict, calls = self.builds_and_solves(
+            is_functional_target_controllable, sys_, steering)
+        assert calls == {"build": 1, "solve": 1}
+        assert verdict == is_functional_target_controllable(csr_sized_system(),
+                                                            steering)
+        again, calls = self.builds_and_solves(classify_nodes, sys_)
+        assert calls == {"build": 1, "solve": 1}
+        assert again == classes
+
+    def test_same_answers_as_the_python_kernel(self, monkeypatch):
+        classes, solution, separator, linking = four_questions(csr_sized_system())
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", math.inf)
+        py_classes, py_solution, py_separator, py_linking = four_questions(
+            csr_sized_system())
+        # the two kernels' linkings are both maximum but may differ
+        assert (py_classes, py_separator) == (classes, separator)
+        assert py_solution.witness.size == solution.witness.size
+        assert py_linking.size == linking.size == len(separator)
+
+    @pytest.mark.parametrize("node", [True, 1.0])
+    def test_nodes_checked_after_a_kept_solve(self, node):
+        sys_ = csr_sized_system(available=(1, 2, 3, 4, 5), targets=(6, 7))
+        graph = sys_.state_adjacency()
+        flow.minimal_left_separator(graph, sys_.available, sys_.targets)
+        assert graph._last_solved is not None
+        for op in (flow.max_linking_size, flow.maximum_linking,
+                   flow.minimal_left_separator, flow.essential_start_analysis):
+            for available, targets in ((sys_.available + (node,), sys_.targets),
+                                       (sys_.available, sys_.targets + (node,))):
+                with pytest.raises(ValueError) as err:
+                    op(graph, available, targets)
+                assert str(err.value) == f"node {node!r} not in graph"
+
+    def test_writable_arrays_are_never_kept(self):
+        sys_ = csr_sized_system()
+        tails, heads = (a.copy() for a in sys_._edge_arrays)
+        graph = flow.StateGraph(range(1, sys_.n + 1), tails, heads)
+        for _ in range(2):
+            size, calls = self.builds_and_solves(
+                flow.max_linking_size, graph, sys_.available, sys_.targets)
+            assert size == len(sys_.targets)
+            assert calls == {"build": 1, "solve": 1}
+            assert graph._last_solved is None
+
+    def test_small_systems_keep_no_network(self):
+        rng = random.Random(17)
+        systems = [random_system(rng, max_n=30, max_available=8, max_targets=4)
+                   for _ in range(40)]
+        asked = 0
+        while asked < 200:
+            for sys_ in systems:
+                graph = sys_.state_adjacency()
+                question = (flow.max_linking_size, flow.maximum_linking,
+                            flow.minimal_left_separator,
+                            flow.essential_start_analysis)[asked % 4]
+                question(graph, sys_.available, sys_.targets)
+                asked += 1
+        assert all(s.state_adjacency()._last_solved is None for s in systems)
+
+    def test_pickle_carries_no_graph_or_network(self):
+        sys_ = csr_sized_system()
+        before = hash(sys_)
+        classify_nodes(sys_)
+        assert sys_.state_adjacency()._last_solved is not None
+        clone = pickle.loads(pickle.dumps(sys_))
+        assert "_state_graph" not in clone.__dict__
+        assert clone == sys_ and hash(clone) == hash(sys_) == before
+        assert classify_nodes(clone) == classify_nodes(sys_)
+
+    def test_two_threads_alternating_sets(self):
+        # one thread asks for the separator on the system's own sets, the
+        # other checks another steering set, so each evicts the other's
+        # network; both must see the answers of serial calls
+        sys_ = csr_sized_system()
+        steering = sys_.available[2:7]
+
+        def separator():
+            return flow.minimal_left_separator(sys_.state_adjacency(),
+                                               sys_.available, sys_.targets)
+
+        def check():
+            return is_functional_target_controllable(sys_, steering)
+
+        serial = {question: question() for question in (separator, check)}
+        answers = {separator: [], check: []}
+        start = threading.Barrier(2)
+
+        def ask(question):
+            start.wait()
+            for _ in range(50):
+                answers[question].append(question())
+
+        threads = [threading.Thread(target=ask, args=(question,))
+                   for question in (separator, check)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for question, expected in serial.items():
+            assert answers[question] == [expected] * 50

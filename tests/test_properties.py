@@ -294,10 +294,17 @@ def both_kernels(op, *args):
     each forced by moving the size cutoff that chooses between them; a
     ValueError that ``op`` raises is the answer, and must come before either
     kernel is built.  Spies on each kernel's construction and on its solver
-    check that the forced kernel is the one that ran."""
+    check that the forced kernel is the one that ran; the network kept by a
+    StateGraph, or by a system's state graph, in ``args`` is dropped before
+    each run, so that the run builds and solves its own."""
     answers = []
     for cutoff, forced, other in ((math.inf, "python", "csr"),
                                   (0, "csr", "python")):
+        for arg in args:
+            if isinstance(arg, StructuredSystem):
+                arg = arg.state_adjacency()
+            if isinstance(arg, flow.StateGraph):
+                arg._last_solved = None
         calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
