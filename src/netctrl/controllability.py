@@ -233,15 +233,13 @@ def classify_nodes(sys: StructuredSystem) -> NodeClassification:
     """
     graph = sys.state_adjacency()
     p = len(sys.targets)
-    value, essential, reaches_target = flow.essential_start_analysis(
-        graph, sys.available, sys.targets
+    value, essential, reaching = flow.essential_start_analysis(
+        graph, sys.available, sys.targets, only_available=True
     )
     if value < p:
         raise UnsolvableError(achieved_size=value, required=p)
-    useless = frozenset(a for a in sys.available if a not in reaches_target)
-    useful = frozenset(
-        a for a in sys.available if a in reaches_target and a not in essential
-    )
+    useless = frozenset(sys.available) - reaching
+    useful = reaching - essential
     return NodeClassification(essential=essential, useful=useful, useless=useless)
 
 

@@ -10,7 +10,9 @@ All operations are pure functions; inputs are never mutated.  Graphs are
 successor mappings ``{node: sequence_of_successors}`` whose keys must cover
 every node and be mutually orderable (ints, or like-shaped tuples): plain
 dicts, or a :class:`StateGraph`, which holds a digraph on its ascending
-labels as edge arrays.
+labels as edge arrays.  Every network is built from one reading of its
+graph, :func:`_flatten`, and a node of A, T or a successor list that is not
+a label raises ``ValueError("node ... not in graph")`` before any is built.
 
 Each high-level operation solves one such network over the graph as given,
 with unit source arcs and the sentinel |T| + 1 on edge and sink arcs.  The
@@ -27,11 +29,9 @@ One solved network answers all four questions, so it is kept for the next:
 a StateGraph over read-only edge arrays, such as a system's
 ``state_adjacency()``, holds the last CSR-sized network solved over it,
 keyed by the positions of A and T, until a question on other sets replaces
-it (:func:`_solved`).  Only one is held, so a graph keeps at most one
-network however many sets it is asked about, and only a CSR-sized one: the
-Python kernel solves a small network in 10-100 us, while a batch of small
-systems would each hold theirs.  A dict, or a StateGraph over writable
-arrays, which may change under it, keeps none.
+it (:func:`_solved`).  A small network is not kept: the Python kernel
+solves it in 10-100 us, while a batch of small systems would each hold
+theirs.  A dict, or a StateGraph over writable arrays, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -42,33 +42,24 @@ residual graph, and then one unit is pushed along that path.  A rejected
 candidate leaves the residual graph as it was, so one backward search from
 the sink serves every candidate up to the next one taken.
 
-Every network, the high-level operations' and :func:`build_auxiliary_graph`'s
-alike, is built from one reading of its graph, :func:`_flatten`: the labels
-ascending, the ascending distinct positions of A and T, and the distinct
-edges as tail and head position arrays sorted by tail, then head.  A
-StateGraph hands over its own arrays; a successor dict is sorted and indexed
-there.  A node of A, T or a successor list that is not a label raises
-``ValueError("node ... not in graph")`` before any network is built.
-
 Two kernels solve the network, and :func:`_network` picks one from the
 number of split and edge arcs.  Small networks go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
 question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
-example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
-laid out as CSR arrays and solved by scipy's Dinic
-(``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
-however small the network but is several times faster on large ones.  Dinic
-starts from the smaller terminal set: with fewer targets than sources it
-solves the reversed network from the sink.  Both kernels return the same
-flow value, separator and essential set; the linkings they return are both
-maximum but may differ.
+example.  From ``CSR_MIN_ARCS`` split and edge arcs on, the network is laid
+out as CSR arrays and solved by scipy's Dinic (about 0.2 ms per call
+however small the network, but several times faster on large ones), from
+the smaller terminal set: with fewer targets than sources it solves the
+reversed network from the sink.  Its flow is mapped once onto the
+network's own arcs, as the greedy's is held, and every residual graph is
+built from that one array.  Both kernels return the same flow value,
+separator and essential set; their linkings are both maximum but may differ.
 
 A maximum bipartite matching is a linking from the columns into the rows
 (:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
-Python kernel's flow, one flow path per matched pair, and from there on
-scipy's Hopcroft-Karp finds it.  scipy is imported only when the first
-network, search or matching of CSR size is built (:func:`_load_scipy`), so
-a process that asks only small questions never loads it.
+Python kernel's flow, and from there on scipy's Hopcroft-Karp finds it.
+scipy is imported only when the first network, search or matching of CSR
+size is built (:func:`_load_scipy`).
 """
 
 from __future__ import annotations
@@ -622,12 +613,12 @@ class _PyFlow:
         flow = [c - r for c, r in zip(self.cap[::2], self.res[::2])]
         return _flow_paths(self.labels, self.head, flow, self.source, self.sink)
 
-    def reaches_target(self) -> frozenset:
-        """The nodes with a path to a target: one backward search from t."""
+    def reaches_target(self, only_available: bool) -> list:
+        """The labels, or the available ones, with a path to a target."""
         # the reverse arcs alone are open: the graph's edges taken backwards
         via = _search(self.adj, [0, 1] * (len(self.head) // 2), [self.sink])
-        return frozenset(lab for k, lab in enumerate(self.labels)
-                         if via[2 * k] != -1)
+        nodes = self.sources if only_available else range(len(self.labels))
+        return [self.labels[k] for k in nodes if via[2 * k] != -1]
 
     def entries(self) -> list:
         """The entry halves of the available nodes, ascending by label."""
@@ -667,8 +658,9 @@ class _PyFlow:
 
 class _CsrFlow:
     """The network of the high-level operations (see the module docstring),
-    held as CSR arrays with its flow ``flow``, zero until :meth:`solve`
-    replaces it by the maximum flow of scipy's Dinic.
+    held as CSR arrays with its flow ``flow``: 0 or 1 on each arc, aligned
+    with ``capacity.data``, zero until :meth:`solve` maps the maximum flow of
+    scipy's Dinic onto it.  The greedy and every search and path read it.
 
     Numbering as in AuxiliaryGraph: 2k and 2k+1 are the entry and exit
     halves of the k-th label, 2n the source and 2n+1 the sink.  Every row
@@ -704,8 +696,7 @@ class _CsrFlow:
         indptr = indptr.astype(np.int32)
         self.capacity = csr_array((cap, indices, indptr),
                                   shape=(2 * n + 2, 2 * n + 2))
-        self.flow = csr_array((np.zeros_like(cap), indices, indptr),
-                              shape=self.capacity.shape)
+        self.flow = np.zeros(len(cap), dtype=np.int8)
 
     @cached_property
     def _reversed(self) -> csr_array:
@@ -713,56 +704,86 @@ class _CsrFlow:
         return csr_array(self.capacity.T)
 
     def solve(self) -> None:
-        # Dinic searches breadth-first from the terminal it starts at, in
-        # every phase, so it is started at the smaller terminal set: with
-        # many sources and few sinks the sources' side spans most of a large
-        # graph, the sinks' side does not.  From the sink it solves the
-        # reversed network, and the flow is antisymmetric, so the forward
-        # flow is the negated reverse one.
-        if len(self.sinks) < len(self.sources):
-            result = maximum_flow(self._reversed, self.sink, self.source,
-                                  method="dinic")
-            self.flow = -result.flow
-        else:
-            result = maximum_flow(self.capacity, self.source, self.sink,
-                                  method="dinic")
-            self.flow = result.flow
+        # each phase of Dinic searches breadth-first from the terminal it
+        # starts at, so it starts at the smaller terminal set, which spans
+        # less of a large graph; from the sink it solves the reversed network
+        backward = len(self.sinks) < len(self.sources)
+        result = maximum_flow(*((self._reversed, self.sink, self.source)
+                                if backward else
+                                (self.capacity, self.source, self.sink)),
+                              method="dinic")
+        # scipy's flow has an entry for every arc and its reverse, and is
+        # antisymmetric: its positive entries are the arcs carrying flow
+        flow = result.flow
+        carrying = np.flatnonzero(flow.data > 0)
+        ends = (np.searchsorted(flow.indptr, carrying, side="right") - 1,
+                flow.indices[carrying])
+        tails, heads = (ends[::-1] if backward else ends)
+        self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
+        self.flow[[self._arc(u, v) for u, v in zip(tails.tolist(),
+                                                   heads.tolist())]] = 1
         self.value = int(result.flow_value)
 
-    def _labelled(self, open_sources: bool) -> np.ndarray:
-        """Mask of the nodes reachable from the source in the residual graph,
-        counting every source arc as open if ``open_sources``."""
-        flow = self.flow
+    def _carrying(self) -> tuple:
+        """The positions, tails and heads of the arcs carrying flow."""
+        arcs = np.flatnonzero(self.flow != 0)
+        indptr, indices = self.capacity.indptr, self.capacity.indices
+        return arcs, np.searchsorted(indptr, arcs, side="right") - 1, indices[arcs]
+
+    def _residual(self, backward: bool, open_sources: bool = False) -> csr_array:
+        """The residual graph of the flow as it is, with every arc reversed
+        if ``backward``, and with every source arc open if ``open_sources``
+        (the flow out of s left out): the network's arcs, or ``_reversed``'s,
+        less the few that the flow saturates, plus the few carrying flow,
+        reversed once more.  A backward graph takes those into its rows in
+        column order, since the greedy follows its search's predecessors (a
+        pair entered twice, a self-looped node's halves, changes nothing); a
+        labelling only asks what is reached, so a forward one appends them."""
+        cap = self.capacity
+        arcs, tails, heads = self._carrying()
         if open_sources:
-            # leaving out the flow out of s keeps every source arc open
-            flow = flow.copy()
-            flow.data[flow.indptr[self.source]:flow.indptr[self.source + 1]] = 0
-        residual = self.capacity - flow
-        residual.eliminate_zeros()  # csgraph takes explicit zeros for arcs
-        return _reached(residual, self.source)
+            keep = tails != self.source
+            arcs, tails, heads = arcs[keep], tails[keep], heads[keep]
+        full = self.flow[arcs] == cap.data[arcs]
+        if backward:
+            rev, keys, n_nodes = self._reversed, self._keys, cap.shape[0]
+            indptr, cols, rows, added = rev.indptr, rev.indices, tails, heads
+            dropped = np.sort(np.searchsorted(keys, heads[full] * n_nodes
+                                              + tails[full]))
+            # the carrying arcs are in CSR order, so their keys ascend
+            at = np.searchsorted(keys, tails * n_nodes + heads)
+        else:
+            indptr, cols = cap.indptr, cap.indices
+            dropped = arcs[full]
+            order = np.argsort(heads, kind="stable")
+            rows, added = heads[order], tails[order]
+            at = indptr[rows + 1]
+        indices = np.insert(np.delete(cols, dropped),
+                            at - np.searchsorted(dropped, at), added)
+        dropped_rows = np.searchsorted(indptr, dropped, side="right") - 1
+        starts = (indptr + _below(rows, len(indptr) - 1)
+                  - _below(dropped_rows, len(indptr) - 1))
+        return csr_array((np.ones(len(indices)), indices, starts),
+                         shape=cap.shape)
 
     def essential(self) -> frozenset:
-        mask = self._labelled(open_sources=False)
+        mask = _reached(self._residual(backward=False), self.source)
         return frozenset(_labels_at(self.labels,
                                     self.sources[~mask[2 * self.sources]]))
 
     def separator(self) -> frozenset:
-        mask = self._labelled(open_sources=True)
+        mask = _reached(self._residual(backward=False, open_sources=True),
+                        self.source)
         cut = mask[0:self.source:2] & ~mask[1:self.source:2]
         return frozenset(_labels_at(self.labels, np.flatnonzero(cut)))
 
     def paths(self) -> list:
         """The flow's paths.  Every split arc carries at most one unit, so
         each half node used by the flow has one successor on it."""
-        flow = self.flow
-        carrying = flow.data > 0
-        tails = np.repeat(np.arange(self.source + 2), np.diff(flow.indptr))
-        succ = np.full(self.source + 2, -1, dtype=np.int64)
-        succ[tails[carrying]] = flow.indices[carrying]
-        lo, hi = flow.indptr[self.source], flow.indptr[self.source + 1]
-        succ = succ.tolist()
+        _, tails, heads = self._carrying()
+        succ = dict(zip(tails.tolist(), heads.tolist()))
         paths = []
-        for node in flow.indices[lo:hi][carrying[lo:hi]].tolist():
+        for node in heads[tails == self.source].tolist():
             path = []
             while node != self.sink:
                 if node % 2 == 0:
@@ -771,57 +792,32 @@ class _CsrFlow:
             paths.append(tuple(path))
         return paths
 
-    def reaches_target(self) -> frozenset:
-        """The nodes with a path to a target: one backward search from t."""
-        mask = _reached(self._reversed, self.sink)
-        return frozenset(_labels_at(self.labels,
-                                    np.flatnonzero(mask[0:self.source:2])))
+    def reaches_target(self, only_available: bool) -> list:
+        """The labels, or the available ones, with a path to a target."""
+        arcs = self._reversed
+        mask = _reached(csr_array((np.ones(arcs.nnz), arcs.indices,
+                                   arcs.indptr), shape=arcs.shape), self.sink)
+        nodes = self.sources if only_available else np.arange(len(self.labels))
+        return _labels_at(self.labels, nodes[mask[2 * nodes]])
 
     def entries(self) -> list:
         """The entry halves of the available nodes, ascending by label."""
         return (2 * self.sources).tolist()
 
     @cached_property
-    def _transposed(self) -> tuple:
-        """The arcs reversed in CSR order, as row starts, columns, the
-        position in ``capacity`` of each one's arc and the sort key
-        row * (2n + 2) + column of each."""
-        cap = self.capacity
-        arcs = csr_array((np.arange(cap.nnz, dtype=np.int32), cap.indices,
-                          cap.indptr), shape=cap.shape).T.tocsr()
-        rows = np.repeat(np.arange(cap.shape[0], dtype=np.int64),
+    def _keys(self) -> np.ndarray:
+        """The sort key row * (2n + 2) + column of each arc of ``_reversed``,
+        which lists them in CSR order."""
+        arcs = self._reversed
+        rows = np.repeat(np.arange(arcs.shape[0], dtype=np.int64),
                          np.diff(arcs.indptr))
-        return (arcs.indptr, arcs.indices, arcs.data,
-                rows * cap.shape[0] + arcs.indices)
+        return rows * arcs.shape[0] + arcs.indices
 
     def to_sink(self) -> np.ndarray:
         """Per node, its next step on a residual path to the sink, negative
         if it has none: a breadth-first search from t over the residual
-        graph reversed, built from the flow as it is.
-
-        Its entries are v -> u for each arc u -> v with capacity left (the
-        reversed arcs less the few saturated ones) and u -> v for each of
-        the few arcs carrying flow, inserted into the reversed arcs' rows so
-        that every row lists its columns ascending.  The search visits them
-        in that order, so a pair entered twice (a self-looped node's halves)
-        changes nothing."""
-        indptr, cols, arcs, keys = self._transposed
-        cap, flow = self.capacity, self.flow.data
-        room = (flow < cap.data)[arcs]
-        kept_before = np.zeros(len(room) + 1, dtype=np.int32)
-        np.cumsum(room, out=kept_before[1:])
-        carrying = np.flatnonzero(flow > 0)
-        added_rows = np.searchsorted(cap.indptr, carrying, side="right") - 1
-        added_cols = cap.indices[carrying]
-        # the carrying arcs are in CSR order, so their keys ascend
-        at = kept_before[np.searchsorted(keys, added_rows * cap.shape[0]
-                                         + added_cols)]
-        indices = np.insert(cols[room], at, added_cols)
-        starts = kept_before[indptr] + np.searchsorted(
-            added_rows, np.arange(len(indptr)), side="left").astype(np.int32)
-        backward = csr_array((np.ones(len(indices)), indices, starts),
-                             shape=cap.shape)
-        return breadth_first_order(backward, self.sink,
+        graph reversed, built from the flow as it is."""
+        return breadth_first_order(self._residual(backward=True), self.sink,
                                    return_predecessors=True)[1]
 
     def _arc(self, u: int, v: int) -> int:
@@ -836,7 +832,7 @@ class _CsrFlow:
         A step v -> w takes the arc v -> w while it has capacity left, and
         otherwise cancels flow on w -> v: a node with a self-loop has arcs
         both ways between its halves."""
-        flow, cap = self.flow.data, self.capacity.data
+        flow, cap = self.flow, self.capacity.data
         while v != self.sink:
             w = int(hops[v])
             arc = self._arc(v, w)
@@ -852,8 +848,8 @@ class _CsrFlow:
         again; returns their labels."""
         entries = np.asarray(entries, dtype=np.int64)
         lo, hi = self.capacity.indptr[self.source:self.source + 2]
-        self.flow.data[lo + np.searchsorted(self.capacity.indices[lo:hi],
-                                            entries)] = 1
+        self.flow[lo + np.searchsorted(self.capacity.indices[lo:hi],
+                                       entries)] = 1
         return _labels_at(self.labels, entries // 2)
 
 
@@ -872,12 +868,18 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
     _load_scipy()
     starts = np.asarray(starts, dtype=np.int64)
     graph = csr_array(
-        (np.ones(len(tails) + len(starts), dtype=np.int8),
+        (np.ones(len(tails) + len(starts)),
          (np.concatenate([tails, np.full(len(starts), n)]),
           np.concatenate([heads, starts]))),
         shape=(n + 1, n + 1),
     )
     return _reached(graph, n)[:n]
+
+
+def _below(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per r in 0..n, how many of the ascending ``rows`` are below r."""
+    return np.repeat(np.arange(len(rows) + 1, dtype=np.int32),
+                     np.diff(rows, prepend=-1, append=n))
 
 
 def _reached(graph: csr_array, start: int) -> np.ndarray:
@@ -923,7 +925,7 @@ def _solved(graph, available, targets) -> _PyFlow | _CsrFlow:
     net = _network(*flat)
     net.solve()
     if kept:
-        net.flow.data.flags.writeable = False
+        net.flow.flags.writeable = False
         graph._last_solved = (key, net)
     return net
 
@@ -958,14 +960,12 @@ def lexicographic_basis(
     """The lexicographically smallest of the largest linkable subsets of the
     available set, ascending, with a linking from it.
 
-    Takes the available nodes in ascending order and keeps each one that
-    some linking covers together with those already kept (the matroid greedy
-    of the gammoid; see the module docstring): one network, one backward
+    The matroid greedy of the module docstring: one network, one backward
     search from the sink per node kept and one unit pushed along the path
-    found, stopping once every target is covered.  The linking is the flow's
-    paths, trimmed, so it starts at exactly the nodes kept.  If they are
-    fewer than the targets, it is :func:`maximum_linking`'s instead, from the
-    same network solved afresh.
+    found, until every target is covered.  The linking is the flow's paths,
+    trimmed, so it starts at exactly the nodes kept; if they are fewer than
+    the targets, it is :func:`maximum_linking`'s, from the same network
+    solved afresh.
     """
     available, targets = tuple(available), tuple(targets)
     net = _network(*_flatten(graph, available, targets))
@@ -1006,25 +1006,25 @@ def essential_start_analysis(
     graph: Mapping[Node, Sequence[Node]],
     available: Iterable[Node],
     targets: Iterable[Node],
+    *,
+    only_available: bool = False,
 ) -> tuple[int, frozenset, frozenset]:
     """Maximum steering capacity and the unavoidable start nodes.
 
-    Returns ``(value, essential, reaches_target)`` where ``value`` is the
-    maximum number of vertex-disjoint paths that can start at distinct
-    available nodes and end at distinct target nodes (intermediate nodes of
-    either set may be traversed), ``essential`` is the set of available nodes
-    without which that value drops, and ``reaches_target`` is the set of all
-    nodes with a path to the target set.
+    Returns ``(value, essential, reaches_target)``: the maximum number of
+    vertex-disjoint paths from distinct available nodes to distinct targets
+    (either set may be passed through), the available nodes without which
+    that value drops, and the nodes with a path to the target set, or only
+    the available ones among them if ``only_available``.
 
     An available node a is essential iff its entry half a- is not labelled.
-    A labelled a- is reached either over its unused source arc (as for
-    every node that cannot reach T, which carries no flow) or by a residual
-    path that, with the reverse source arc, forms a cycle rerouting a's path
-    elsewhere; an unlabelled a- lies on a path of every maximum family of
-    disjoint paths.
+    A labelled a- is reached over its unused source arc (as is every node
+    that cannot reach T) or by a residual path that, with the reverse source
+    arc, forms a cycle rerouting a's path elsewhere.
     """
     net = _solved(graph, available, targets)
-    return net.value, net.essential(), net.reaches_target()
+    return (net.value, net.essential(),
+            frozenset(net.reaches_target(only_available)))
 
 
 def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
@@ -1033,13 +1033,11 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
     bipartite graph with an edge between row ``rows[k]`` and column
     ``cols[k]`` for each k, or -1 if it is unmatched.
 
-    A matching is a linking of the digraph with an edge from each column to
-    its rows, from the columns into the rows: each flow path of the
-    network over it is one matched pair (column, row).  Below
-    ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves that network;
-    from there on scipy's Hopcroft-Karp matches the pattern directly, which
-    on a 100 000-row pattern takes a fifth of the time that reading the
-    pairs off the Dinic flow does.
+    A matching is a linking from the columns into the rows of the digraph
+    with an edge from each column to its rows, one flow path per matched
+    pair.  Below ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves
+    that network; from there on scipy's Hopcroft-Karp, which on a 100 000-row
+    pattern takes a fifth of the time of reading the pairs off the Dinic flow.
     """
     if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
         _load_scipy()

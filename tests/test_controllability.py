@@ -473,7 +473,7 @@ class TestOneSolvePerSets:
         classes, solution, separator, linking = answers
         assert classes.useless and not isinstance(solution, Unsolvable)
         kept = sys_.state_adjacency()._last_solved[1]
-        assert not kept.flow.data.flags.writeable
+        assert not kept.flow.flags.writeable
         # a fresh system builds its own network and answers the same
         assert answers == four_questions(csr_sized_system())
         # a check on another steering set builds anew, and so does the next

@@ -564,16 +564,103 @@ class TestOneNetwork:
             assert list(starts) == sorted(starts)
 
 
+def residual_matrix(net, open_sources=False):
+    """The residual graph of a CSR network's flow, built by scipy from its
+    (row, column) pairs: an arc with capacity left, and the reverse of an
+    arc carrying flow.  With ``open_sources`` the flow out of s is left
+    out."""
+    cap, flow_on = net.capacity, net.flow.copy()
+    if open_sources:
+        flow_on[cap.indptr[net.source]:cap.indptr[net.source + 1]] = 0
+    tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
+    room, carrying = flow_on < cap.data, flow_on > 0
+    rows = np.concatenate([tails[room], cap.indices[carrying]])
+    cols = np.concatenate([cap.indices[room], tails[carrying]])
+    return csr_array((np.ones(len(rows)), (rows, cols)), shape=cap.shape)
+
+
 def residual_matrix_to_sink(net):
     """``_CsrFlow.to_sink``'s answer from a search over the residual graph
     reversed, built by scipy from its (row, column) pairs."""
-    cap, flow_on = net.capacity, net.flow.data
-    tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
-    room, carrying = flow_on < cap.data, flow_on > 0
-    rows = np.concatenate([cap.indices[room], tails[carrying]])
-    cols = np.concatenate([tails[room], cap.indices[carrying]])
-    backward = csr_array((np.ones(len(rows)), (rows, cols)), shape=cap.shape)
+    backward = csr_array(residual_matrix(net).T)
     return breadth_first_order(backward, net.sink, return_predecessors=True)[1]
+
+
+def solved_csr_networks(seed, count):
+    """Random systems, each with its network solved by the CSR kernel (the
+    caller forces it with ``CSR_MIN_ARCS = 0``): Dinic runs from the sink
+    (|T| < |A|) on even draws and from the source on odd ones.  Self-loops
+    and nodes both available and targeted come up among them."""
+    rng = random.Random(seed)
+    for k in range(count):
+        while True:
+            sys_ = random_system(rng, max_n=25, max_available=10,
+                                 max_targets=10, edge_factor=2.5)
+            if (len(sys_.targets) < len(sys_.available)) == (k % 2 == 0):
+                break
+        net = flow._network(*flow._flatten(sys_.state_adjacency(),
+                                           sys_.available, sys_.targets))
+        assert isinstance(net, flow._CsrFlow)
+        net.solve()
+        yield sys_, net
+
+
+class TestSolvedCsrNetwork:
+    """The CSR kernel's flow, mapped onto the network's own arcs after
+    Dinic, in both directions: a 0/1 flow that networkx confirms, and
+    residual searches that agree with scipy's matrix of the residual
+    graph."""
+
+    def test_flow_layout(self, monkeypatch):
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        for sys_, net in solved_csr_networks(31, 120):
+            cap, on = net.capacity, net.flow
+            assert on.shape == cap.data.shape
+            assert set(np.unique(on).tolist()) <= {0, 1}
+            assert np.all(on <= cap.data)
+            tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
+            out = np.bincount(tails, weights=on, minlength=cap.shape[0])
+            into = np.bincount(cap.indices, weights=on, minlength=cap.shape[0])
+            np.testing.assert_array_equal(out[:net.source], into[:net.source])
+            assert out[net.source] == into[net.sink] == net.value
+            aux = nx.DiGraph()
+            aux.add_weighted_edges_from(
+                zip(tails.tolist(), cap.indices.tolist(), cap.data.tolist()),
+                weight="capacity")
+            aux.add_nodes_from((net.source, net.sink))
+            assert net.value == nx.maximum_flow_value(aux, net.source, net.sink)
+            paths = net.paths()
+            assert len(paths) == net.value
+            nodes = [v for path in paths for v in path]
+            assert len(nodes) == len(set(nodes))
+            edges = set(sys_.state_edges)
+            for path in paths:
+                assert path[0] in sys_.available and path[-1] in sys_.targets
+                assert all(edge in edges for edge in zip(path, path[1:]))
+
+    def test_residual_searches(self, monkeypatch):
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        seen = {"self_loop": 0, "shared": 0}
+        for sys_, net in solved_csr_networks(32, 120):
+            seen["self_loop"] += any(u == v for u, v in sys_.state_edges)
+            seen["shared"] += bool(set(sys_.available) & set(sys_.targets))
+            labels = np.arange(1, sys_.n + 1)
+            mask = np.zeros(net.sink + 1, dtype=bool)
+            mask[breadth_first_order(residual_matrix(net), net.source,
+                                     return_predecessors=False)] = True
+            assert net.essential() == frozenset(
+                labels[net.sources[~mask[2 * net.sources]]].tolist())
+            mask[:] = False
+            mask[breadth_first_order(residual_matrix(net, open_sources=True),
+                                     net.source,
+                                     return_predecessors=False)] = True
+            cut = mask[0:net.source:2] & ~mask[1:net.source:2]
+            assert net.separator() == frozenset(labels[cut].tolist())
+            np.testing.assert_array_equal(net.to_sink(),
+                                          residual_matrix_to_sink(net))
+            # a maximum flow leaves no residual path from s to t
+            assert net.to_sink()[net.source] < 0
+        assert seen["self_loop"] >= 20 and seen["shared"] >= 20
 
 
 def first_basis(adj, available, targets):
@@ -666,6 +753,23 @@ class TestLexicographicBasis:
             lexicographic_basis(sys_.state_adjacency(), sys_.available,
                                 sys_.targets)
         assert len(searches) >= 100
+
+    def test_backward_search_takes_rows_in_column_order(self, monkeypatch):
+        # one unit runs 5, 1, 3 to the target 3; searching back from t, 1's
+        # entry half reaches 1's exit half (over the carrying split arc) and
+        # 2's (over the edge 2 -> 1) at one level.  4 has edges to 3 and 2,
+        # so 4's exit half is reached next from 3's entry half or from 2's,
+        # whichever the search met first: 3's, since 1's exit half comes
+        # before 2's in the row of 1's entry half.
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        adj = {1: (3,), 2: (1,), 3: (), 4: (2, 3), 5: (1, 6), 6: ()}
+        net = flow._network(*flow._flatten(adj, (5,), (3, 6)))
+        # halves: k- = 2(k - 1) and k+ = 2k - 1, the sink 13
+        for u, v in ((8, 9), (9, 0), (0, 1), (1, 4), (4, 5), (5, 13)):
+            net.flow[net._arc(u, v)] = 1
+        hops = net.to_sink()
+        np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
+        assert hops[7] == 4
 
     def test_rerouting_around_a_self_loop(self):
         # 1's shortest path runs 8, 17, 7; taking 2 frees 7 by sending 1 back
