@@ -233,8 +233,8 @@ def classify_nodes(sys: StructuredSystem) -> NodeClassification:
     """
     graph = sys.state_adjacency()
     p = len(sys.targets)
-    value, essential, reaching = flow.essential_start_analysis(
-        graph, sys.available, sys.targets, only_available=True
+    value, essential, reaching = flow._available_start_analysis(
+        graph, sys.available, sys.targets
     )
     if value < p:
         raise UnsolvableError(achieved_size=value, required=p)

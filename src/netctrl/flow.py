@@ -10,9 +10,7 @@ All operations are pure functions; inputs are never mutated.  Graphs are
 successor mappings ``{node: sequence_of_successors}`` whose keys must cover
 every node and be mutually orderable (ints, or like-shaped tuples): plain
 dicts, or a :class:`StateGraph`, which holds a digraph on its ascending
-labels as edge arrays.  Every network is built from one reading of its
-graph, :func:`_flatten`, and a node of A, T or a successor list that is not
-a label raises ``ValueError("node ... not in graph")`` before any is built.
+labels as edge arrays.
 
 Each high-level operation solves one such network over the graph as given,
 with unit source arcs and the sentinel |T| + 1 on edge and sink arcs.  The
@@ -29,9 +27,11 @@ One solved network answers all four questions, so it is kept for the next:
 a StateGraph over read-only edge arrays, such as a system's
 ``state_adjacency()``, holds the last CSR-sized network solved over it,
 keyed by the positions of A and T, until a question on other sets replaces
-it (:func:`_solved`).  A small network is not kept: the Python kernel
-solves it in 10-100 us, while a batch of small systems would each hold
-theirs.  A dict, or a StateGraph over writable arrays, keeps none.
+it (:func:`_solved`).  Only one is held, so a graph keeps at most one
+network however many sets it is asked about, and only a CSR-sized one: the
+Python kernel solves a small network in 10-100 us, while a batch of small
+systems would each hold theirs.  A dict, or a StateGraph over writable
+arrays, which may change under it, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -42,24 +42,35 @@ residual graph, and then one unit is pushed along that path.  A rejected
 candidate leaves the residual graph as it was, so one backward search from
 the sink serves every candidate up to the next one taken.
 
+Every network, the high-level operations' and :func:`build_auxiliary_graph`'s
+alike, is built from one reading of its graph, :func:`_flatten`: the labels
+ascending, the ascending distinct positions of A and T, and the distinct
+edges as tail and head position arrays sorted by tail, then head.  A
+StateGraph hands over its own arrays; a successor dict is sorted and indexed
+there.  A node of A, T or a successor list that is not a label raises
+``ValueError("node ... not in graph")`` before any network is built.
+
 Two kernels solve the network, and :func:`_network` picks one from the
 number of split and edge arcs.  Small networks go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
 question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
-example.  From ``CSR_MIN_ARCS`` split and edge arcs on, the network is laid
-out as CSR arrays and solved by scipy's Dinic (about 0.2 ms per call
-however small the network, but several times faster on large ones), from
-the smaller terminal set: with fewer targets than sources it solves the
-reversed network from the sink.  Its flow is mapped once onto the
-network's own arcs, as the greedy's is held, and every residual graph is
-built from that one array.  Both kernels return the same flow value,
-separator and essential set; their linkings are both maximum but may differ.
+example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
+laid out as CSR arrays and solved by scipy's Dinic
+(``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
+however small the network but is several times faster on large ones.  Dinic
+starts from the smaller terminal set: with fewer targets than sources it
+solves the reversed network from the sink.  Its flow is then mapped once
+onto the network's own arcs, as a 0/1 array in the layout that the greedy
+holds its flow in, and every residual graph and flow path is read off that
+array.  Both kernels return the same flow value, separator and essential
+set; the linkings they return are both maximum but may differ.
 
 A maximum bipartite matching is a linking from the columns into the rows
 (:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
-Python kernel's flow, and from there on scipy's Hopcroft-Karp finds it.
-scipy is imported only when the first network, search or matching of CSR
-size is built (:func:`_load_scipy`).
+Python kernel's flow, one flow path per matched pair, and from there on
+scipy's Hopcroft-Karp finds it.  scipy is imported only when the first
+network, search or matching of CSR size is built (:func:`_load_scipy`), so
+a process that asks only small questions never loads it.
 """
 
 from __future__ import annotations
@@ -613,11 +624,11 @@ class _PyFlow:
         flow = [c - r for c, r in zip(self.cap[::2], self.res[::2])]
         return _flow_paths(self.labels, self.head, flow, self.source, self.sink)
 
-    def reaches_target(self, only_available: bool) -> list:
-        """The labels, or the available ones, with a path to a target."""
+    def reaches_target(self, nodes) -> list:
+        """The labels at the positions ``nodes`` that have a path to a
+        target: one backward search from t."""
         # the reverse arcs alone are open: the graph's edges taken backwards
         via = _search(self.adj, [0, 1] * (len(self.head) // 2), [self.sink])
-        nodes = self.sources if only_available else range(len(self.labels))
         return [self.labels[k] for k in nodes if via[2 * k] != -1]
 
     def entries(self) -> list:
@@ -704,9 +715,11 @@ class _CsrFlow:
         return csr_array(self.capacity.T)
 
     def solve(self) -> None:
-        # each phase of Dinic searches breadth-first from the terminal it
-        # starts at, so it starts at the smaller terminal set, which spans
-        # less of a large graph; from the sink it solves the reversed network
+        # Dinic searches breadth-first from the terminal it starts at, in
+        # every phase, so it is started at the smaller terminal set: with
+        # many sources and few sinks the sources' side spans most of a large
+        # graph, the sinks' side does not.  From the sink it solves the
+        # reversed network, whose flow is the forward one read backwards.
         backward = len(self.sinks) < len(self.sources)
         result = maximum_flow(*((self._reversed, self.sink, self.source)
                                 if backward else
@@ -720,15 +733,15 @@ class _CsrFlow:
                 flow.indices[carrying])
         tails, heads = (ends[::-1] if backward else ends)
         self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
-        self.flow[[self._arc(u, v) for u, v in zip(tails.tolist(),
-                                                   heads.tolist())]] = 1
+        self.flow[_find(self.capacity, tails, heads)] = 1
         self.value = int(result.flow_value)
 
     def _carrying(self) -> tuple:
         """The positions, tails and heads of the arcs carrying flow."""
         arcs = np.flatnonzero(self.flow != 0)
         indptr, indices = self.capacity.indptr, self.capacity.indices
-        return arcs, np.searchsorted(indptr, arcs, side="right") - 1, indices[arcs]
+        return (arcs, np.searchsorted(indptr, arcs, side="right") - 1,
+                indices[arcs].astype(np.int64))
 
     def _residual(self, backward: bool, open_sources: bool = False) -> csr_array:
         """The residual graph of the flow as it is, with every arc reversed
@@ -746,12 +759,11 @@ class _CsrFlow:
             arcs, tails, heads = arcs[keep], tails[keep], heads[keep]
         full = self.flow[arcs] == cap.data[arcs]
         if backward:
-            rev, keys, n_nodes = self._reversed, self._keys, cap.shape[0]
+            rev = self._reversed
             indptr, cols, rows, added = rev.indptr, rev.indices, tails, heads
-            dropped = np.sort(np.searchsorted(keys, heads[full] * n_nodes
-                                              + tails[full]))
-            # the carrying arcs are in CSR order, so their keys ascend
-            at = np.searchsorted(keys, tails * n_nodes + heads)
+            dropped = np.sort(_find(rev, heads[full], tails[full]))
+            # the carrying arcs are in CSR order, so their places ascend
+            at = _find(rev, tails, heads)
         else:
             indptr, cols = cap.indptr, cap.indices
             dropped = arcs[full]
@@ -792,26 +804,17 @@ class _CsrFlow:
             paths.append(tuple(path))
         return paths
 
-    def reaches_target(self, only_available: bool) -> list:
-        """The labels, or the available ones, with a path to a target."""
+    def reaches_target(self, nodes: np.ndarray) -> list:
+        """The labels at the positions ``nodes`` that have a path to a
+        target: one backward search from t."""
         arcs = self._reversed
         mask = _reached(csr_array((np.ones(arcs.nnz), arcs.indices,
                                    arcs.indptr), shape=arcs.shape), self.sink)
-        nodes = self.sources if only_available else np.arange(len(self.labels))
         return _labels_at(self.labels, nodes[mask[2 * nodes]])
 
     def entries(self) -> list:
         """The entry halves of the available nodes, ascending by label."""
         return (2 * self.sources).tolist()
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """The sort key row * (2n + 2) + column of each arc of ``_reversed``,
-        which lists them in CSR order."""
-        arcs = self._reversed
-        rows = np.repeat(np.arange(arcs.shape[0], dtype=np.int64),
-                         np.diff(arcs.indptr))
-        return rows * arcs.shape[0] + arcs.indices
 
     def to_sink(self) -> np.ndarray:
         """Per node, its next step on a residual path to the sink, negative
@@ -874,6 +877,23 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
         shape=(n + 1, n + 1),
     )
     return _reached(graph, n)[:n]
+
+
+def _find(graph: csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per k, the position of the entry (rows[k], cols[k]) in ``graph``, or
+    where it would go if there is none: a bisection of every row at once,
+    each of which lists its columns ascending."""
+    lo = graph.indptr[rows].astype(np.int64)
+    hi = graph.indptr[rows + 1].astype(np.int64)
+    last = len(graph.indices) - 1
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        right = graph.indices[np.minimum(mid, last)] < cols
+        lo = np.where(open_ & right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
 
 
 def _below(rows: np.ndarray, n: int) -> np.ndarray:
@@ -960,12 +980,14 @@ def lexicographic_basis(
     """The lexicographically smallest of the largest linkable subsets of the
     available set, ascending, with a linking from it.
 
-    The matroid greedy of the module docstring: one network, one backward
+    Takes the available nodes in ascending order and keeps each one that
+    some linking covers together with those already kept (the matroid greedy
+    of the gammoid; see the module docstring): one network, one backward
     search from the sink per node kept and one unit pushed along the path
-    found, until every target is covered.  The linking is the flow's paths,
-    trimmed, so it starts at exactly the nodes kept; if they are fewer than
-    the targets, it is :func:`maximum_linking`'s, from the same network
-    solved afresh.
+    found, stopping once every target is covered.  The linking is the flow's
+    paths, trimmed, so it starts at exactly the nodes kept.  If they are
+    fewer than the targets, it is :func:`maximum_linking`'s instead, from the
+    same network solved afresh.
     """
     available, targets = tuple(available), tuple(targets)
     net = _network(*_flatten(graph, available, targets))
@@ -1006,25 +1028,35 @@ def essential_start_analysis(
     graph: Mapping[Node, Sequence[Node]],
     available: Iterable[Node],
     targets: Iterable[Node],
-    *,
-    only_available: bool = False,
 ) -> tuple[int, frozenset, frozenset]:
     """Maximum steering capacity and the unavoidable start nodes.
 
-    Returns ``(value, essential, reaches_target)``: the maximum number of
-    vertex-disjoint paths from distinct available nodes to distinct targets
-    (either set may be passed through), the available nodes without which
-    that value drops, and the nodes with a path to the target set, or only
-    the available ones among them if ``only_available``.
+    Returns ``(value, essential, reaches_target)`` where ``value`` is the
+    maximum number of vertex-disjoint paths that can start at distinct
+    available nodes and end at distinct target nodes (intermediate nodes of
+    either set may be traversed), ``essential`` is the set of available nodes
+    without which that value drops, and ``reaches_target`` is the set of all
+    nodes with a path to the target set.
 
     An available node a is essential iff its entry half a- is not labelled.
-    A labelled a- is reached over its unused source arc (as is every node
-    that cannot reach T) or by a residual path that, with the reverse source
-    arc, forms a cycle rerouting a's path elsewhere.
+    A labelled a- is reached either over its unused source arc (as for
+    every node that cannot reach T, which carries no flow) or by a residual
+    path that, with the reverse source arc, forms a cycle rerouting a's path
+    elsewhere; an unlabelled a- lies on a path of every maximum family of
+    disjoint paths.
     """
     net = _solved(graph, available, targets)
     return (net.value, net.essential(),
-            frozenset(net.reaches_target(only_available)))
+            frozenset(net.reaches_target(np.arange(len(net.labels)))))
+
+
+def _available_start_analysis(graph, available, targets) -> tuple:
+    """:func:`essential_start_analysis` with only the available nodes among
+    those that reach the target set: all of them are a label per node of a
+    large graph, most of them not available."""
+    net = _solved(graph, available, targets)
+    return (net.value, net.essential(),
+            frozenset(net.reaches_target(net.sources)))
 
 
 def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
@@ -1033,11 +1065,13 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
     bipartite graph with an edge between row ``rows[k]`` and column
     ``cols[k]`` for each k, or -1 if it is unmatched.
 
-    A matching is a linking from the columns into the rows of the digraph
-    with an edge from each column to its rows, one flow path per matched
-    pair.  Below ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves
-    that network; from there on scipy's Hopcroft-Karp, which on a 100 000-row
-    pattern takes a fifth of the time of reading the pairs off the Dinic flow.
+    A matching is a linking of the digraph with an edge from each column to
+    its rows, from the columns into the rows: each flow path of the
+    network over it is one matched pair (column, row).  Below
+    ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves that network;
+    from there on scipy's Hopcroft-Karp matches the pattern directly, which
+    on a 100 000-row pattern takes a fifth of the time that reading the
+    pairs off the Dinic flow does.
     """
     if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
         _load_scipy()

@@ -619,6 +619,8 @@ class TestSolvedCsrNetwork:
             assert set(np.unique(on).tolist()) <= {0, 1}
             assert np.all(on <= cap.data)
             tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
+            np.testing.assert_array_equal(
+                flow._find(cap, tails, cap.indices), np.arange(cap.nnz))
             out = np.bincount(tails, weights=on, minlength=cap.shape[0])
             into = np.bincount(cap.indices, weights=on, minlength=cap.shape[0])
             np.testing.assert_array_equal(out[:net.source], into[:net.source])
@@ -644,23 +646,61 @@ class TestSolvedCsrNetwork:
         for sys_, net in solved_csr_networks(32, 120):
             seen["self_loop"] += any(u == v for u, v in sys_.state_edges)
             seen["shared"] += bool(set(sys_.available) & set(sys_.targets))
-            labels = np.arange(1, sys_.n + 1)
-            mask = np.zeros(net.sink + 1, dtype=bool)
-            mask[breadth_first_order(residual_matrix(net), net.source,
-                                     return_predecessors=False)] = True
-            assert net.essential() == frozenset(
-                labels[net.sources[~mask[2 * net.sources]]].tolist())
-            mask[:] = False
-            mask[breadth_first_order(residual_matrix(net, open_sources=True),
-                                     net.source,
-                                     return_predecessors=False)] = True
-            cut = mask[0:net.source:2] & ~mask[1:net.source:2]
-            assert net.separator() == frozenset(labels[cut].tolist())
-            np.testing.assert_array_equal(net.to_sink(),
-                                          residual_matrix_to_sink(net))
-            # a maximum flow leaves no residual path from s to t
-            assert net.to_sink()[net.source] < 0
+            assert_residual_searches(net)
         assert seen["self_loop"] >= 20 and seen["shared"] >= 20
+
+    def test_searches_past_int32_pair_keys(self, monkeypatch):
+        # 30 000 nodes make 60 002 half nodes, and the pair (u, v) of them
+        # read as u * 60 002 + v passes 2**31 from u = 35 791 on: the
+        # residual graphs and the greedy's searches must not depend on it
+        rng = np.random.default_rng(34)
+        n = 30_000
+        succ = [set() for _ in range(n)]
+        for u, v in zip(*rng.integers(0, n, (2, 3 * n)).tolist()):
+            succ[u].add(v)
+        adj = {v: tuple(sorted(heads)) for v, heads in enumerate(succ)}
+        to_sink, searches = flow._CsrFlow.to_sink, []
+
+        def checked(net):
+            hops = to_sink(net)
+            np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
+            searches.append(net)
+            return hops
+
+        monkeypatch.setattr(flow._CsrFlow, "to_sink", checked)
+        # Dinic from the sink (|T| < |A|), then from the source
+        for n_targets in (6, 200):
+            nodes = rng.choice(n, 150 + n_targets, replace=False)
+            available = tuple(sorted(nodes[:150].tolist()))
+            targets = tuple(sorted(nodes[150:].tolist()))
+            net = flow._network(*flow._flatten(adj, available, targets))
+            assert isinstance(net, flow._CsrFlow)
+            net.solve()
+            assert_residual_searches(net)
+            basis, linking = lexicographic_basis(adj, available, targets)
+            assert len(basis) == net.value
+            assert_valid_linking(linking, adj, available, targets)
+            assert linking.size == net.value
+        assert len(searches) >= 2 * 6
+
+
+def assert_residual_searches(net):
+    """A solved CSR network's essential set, separator and backward search,
+    against searches over scipy's matrices of its residual graph."""
+    labels = np.asarray(net.labels)
+    mask = np.zeros(net.sink + 1, dtype=bool)
+    mask[breadth_first_order(residual_matrix(net), net.source,
+                             return_predecessors=False)] = True
+    assert net.essential() == frozenset(
+        labels[net.sources[~mask[2 * net.sources]]].tolist())
+    mask[:] = False
+    mask[breadth_first_order(residual_matrix(net, open_sources=True),
+                             net.source, return_predecessors=False)] = True
+    cut = mask[0:net.source:2] & ~mask[1:net.source:2]
+    assert net.separator() == frozenset(labels[cut].tolist())
+    np.testing.assert_array_equal(net.to_sink(), residual_matrix_to_sink(net))
+    # a maximum flow leaves no residual path from s to t
+    assert net.to_sink()[net.source] < 0
 
 
 def first_basis(adj, available, targets):
