@@ -41,6 +41,7 @@ from .system import (
     StructuredSystem,
     ValidationError,
     build_graph,
+    node_name,
     parse_system,
     serialize_dot,
 )
@@ -77,9 +78,7 @@ def _paths_json(linking: Optional[flow.Linking]) -> Optional[list]:
 
 
 def _label_str(node) -> str:
-    if isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], str):
-        return f"{node[0]}{node[1]}"
-    return f"x{node}"
+    return node_name(node) if isinstance(node, tuple) else f"x{node}"
 
 
 def _paths_text(linking: Optional[flow.Linking]) -> str:

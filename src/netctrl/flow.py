@@ -234,16 +234,17 @@ class StateGraph(Mapping):
     :func:`_flatten`).
     """
 
-    __slots__ = ("labels", "tails", "heads", "_position", "_starts",
-                 "_last_solved")
+    __slots__ = ("labels", "tails", "heads", "_lookup", "_last_solved")
 
     def __init__(self, labels: Sequence[Node], tails: np.ndarray,
                  heads: np.ndarray):
         self.labels = labels
         self.tails = tails
         self.heads = heads
-        # built on first lookup: _indexer's function, and per node its first edge
-        self._position = self._starts = None
+        # built on first lookup and set in one assignment, so that a lookup
+        # in another thread sees all of it or none: (_indexer's function,
+        # per node its first edge)
+        self._lookup = None
         # (key, network) of the last CSR-sized network solved over read-only
         # edge arrays, or None: see _solved
         self._last_solved = None
@@ -255,13 +256,14 @@ class StateGraph(Mapping):
         return iter(self.labels)
 
     def __getitem__(self, node) -> tuple:
-        if self._position is None:
-            self._position = _indexer(self.labels)
-            self._starts = np.searchsorted(self.tails,
-                                           np.arange(len(self.labels) + 1))
-        k = self._position(node)
-        return tuple(_labels_at(self.labels,
-                                self.heads[self._starts[k]:self._starts[k + 1]]))
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._lookup = (
+                _indexer(self.labels),
+                np.searchsorted(self.tails, np.arange(len(self.labels) + 1)))
+        position, starts = lookup
+        k = position(node)
+        return tuple(_labels_at(self.labels, self.heads[starts[k]:starts[k + 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +618,8 @@ class _PyFlow:
 
     def separator(self) -> frozenset:
         # every source arc open: a search from s and every available entry half
-        via = _search(self.adj, self.res, [self.source] + self.entries())
+        via = _search(self.adj, self.res,
+                      [self.source] + [2 * k for k in self.sources])
         return frozenset(lab for k, lab in enumerate(self.labels)
                          if via[2 * k] != -1 and via[2 * k + 1] == -1)
 
@@ -630,10 +633,6 @@ class _PyFlow:
         # the reverse arcs alone are open: the graph's edges taken backwards
         via = _search(self.adj, [0, 1] * (len(self.head) // 2), [self.sink])
         return [self.labels[k] for k in nodes if via[2 * k] != -1]
-
-    def entries(self) -> list:
-        """The entry halves of the available nodes, ascending by label."""
-        return [2 * k for k in self.sources]
 
     def to_sink(self) -> list:
         """Per node, the arc that a backward search from t over the residual
@@ -675,7 +674,8 @@ class _CsrFlow:
 
     Numbering as in AuxiliaryGraph: 2k and 2k+1 are the entry and exit
     halves of the k-th label, 2n the source and 2n+1 the sink.  Every row
-    holds its arcs ascending by head, and the source's arcs come last.
+    holds its arcs ascending by head, the source's arcs come last, and every
+    arc's position, in the network or reversed, is found by :func:`_find`.
     """
 
     def __init__(self, labels, sources, sinks, tails, heads):
@@ -748,35 +748,27 @@ class _CsrFlow:
         if ``backward``, and with every source arc open if ``open_sources``
         (the flow out of s left out): the network's arcs, or ``_reversed``'s,
         less the few that the flow saturates, plus the few carrying flow,
-        reversed once more.  A backward graph takes those into its rows in
-        column order, since the greedy follows its search's predecessors (a
-        pair entered twice, a self-looped node's halves, changes nothing); a
-        labelling only asks what is reached, so a forward one appends them."""
-        cap = self.capacity
+        reversed once more and taken into their rows in column order, since
+        the greedy follows its search's predecessors (a pair entered twice,
+        a self-looped node's halves, changes nothing)."""
         arcs, tails, heads = self._carrying()
         if open_sources:
             keep = tails != self.source
             arcs, tails, heads = arcs[keep], tails[keep], heads[keep]
-        full = self.flow[arcs] == cap.data[arcs]
-        if backward:
-            rev = self._reversed
-            indptr, cols, rows, added = rev.indptr, rev.indices, tails, heads
-            dropped = np.sort(_find(rev, heads[full], tails[full]))
-            # the carrying arcs are in CSR order, so their places ascend
-            at = _find(rev, tails, heads)
-        else:
-            indptr, cols = cap.indptr, cap.indices
-            dropped = arcs[full]
-            order = np.argsort(heads, kind="stable")
-            rows, added = heads[order], tails[order]
-            at = indptr[rows + 1]
-        indices = np.insert(np.delete(cols, dropped),
-                            at - np.searchsorted(dropped, at), added)
-        dropped_rows = np.searchsorted(indptr, dropped, side="right") - 1
-        starts = (indptr + _below(rows, len(indptr) - 1)
-                  - _below(dropped_rows, len(indptr) - 1))
+        full = self.flow[arcs] == self.capacity.data[arcs]
+        graph, rows, cols = ((self._reversed, tails, heads) if backward
+                             else (self.capacity, heads, tails))
+        dropped = np.sort(_find(graph, cols[full], rows[full]))
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        at = _find(graph, rows, cols)
+        indices = np.insert(np.delete(graph.indices, dropped),
+                            at - np.searchsorted(dropped, at), cols)
+        n = graph.shape[0]
+        dropped_rows = np.searchsorted(graph.indptr, dropped, side="right") - 1
+        starts = graph.indptr + _below(rows, n) - _below(dropped_rows, n)
         return csr_array((np.ones(len(indices)), indices, starts),
-                         shape=cap.shape)
+                         shape=graph.shape)
 
     def essential(self) -> frozenset:
         mask = _reached(self._residual(backward=False), self.source)
@@ -812,10 +804,6 @@ class _CsrFlow:
                                    arcs.indptr), shape=arcs.shape), self.sink)
         return _labels_at(self.labels, nodes[mask[2 * nodes]])
 
-    def entries(self) -> list:
-        """The entry halves of the available nodes, ascending by label."""
-        return (2 * self.sources).tolist()
-
     def to_sink(self) -> np.ndarray:
         """Per node, its next step on a residual path to the sink, negative
         if it has none: a breadth-first search from t over the residual
@@ -823,36 +811,30 @@ class _CsrFlow:
         return breadth_first_order(self._residual(backward=True), self.sink,
                                    return_predecessors=True)[1]
 
-    def _arc(self, u: int, v: int) -> int:
-        """The position of the arc u -> v, or -1 if the network has none."""
-        indptr, indices = self.capacity.indptr, self.capacity.indices
-        lo, hi = indptr[u], indptr[u + 1]
-        k = lo + int(np.searchsorted(indices[lo:hi], v))
-        return k if k < hi and indices[k] == v else -1
-
     def push(self, v: int, hops: np.ndarray) -> None:
         """Send one unit from node v to the sink along the path in ``hops``.
-        A step v -> w takes the arc v -> w while it has capacity left, and
+        A step v -> w takes the arc v -> w if it has capacity left, and
         otherwise cancels flow on w -> v: a node with a self-loop has arcs
-        both ways between its halves."""
-        flow, cap = self.flow, self.capacity.data
-        while v != self.sink:
-            w = int(hops[v])
-            arc = self._arc(v, w)
-            if arc >= 0 and flow[arc] < cap[arc]:
-                flow[arc] += 1
-            else:
-                flow[self._arc(w, v)] -= 1
-            v = w
+        both ways between its halves.  The path is node-simple, so no step
+        touches an arc that another has changed."""
+        path = [v]
+        while path[-1] != self.sink:
+            path.append(int(hops[path[-1]]))
+        tails, heads = np.array(path[:-1]), np.array(path[1:])
+        cap = self.capacity
+        arcs = _find(cap, tails, heads)
+        ahead = ((arcs < cap.indptr[tails + 1]) & (cap.indices[arcs] == heads)
+                 & (self.flow[arcs] < cap.data[arcs]))
+        self.flow[arcs[ahead]] += 1
+        self.flow[_find(cap, heads[~ahead], tails[~ahead])] -= 1
 
     def open_sources(self, entries: list) -> list:
         """Open the source arc of each entry half in ``entries``, which the
         flow already leaves with one unit each, so that it is an s-t flow
         again; returns their labels."""
         entries = np.asarray(entries, dtype=np.int64)
-        lo, hi = self.capacity.indptr[self.source:self.source + 2]
-        self.flow[lo + np.searchsorted(self.capacity.indices[lo:hi],
-                                       entries)] = 1
+        self.flow[_find(self.capacity, np.full(len(entries), self.source),
+                        entries)] = 1
         return _labels_at(self.labels, entries // 2)
 
 
@@ -993,7 +975,7 @@ def lexicographic_basis(
     net = _network(*_flatten(graph, available, targets))
     rank = len(set(targets))
     chosen, hops = [], None
-    for v in net.entries():
+    for v in [2 * k for k in net.sources]:
         if len(chosen) == rank:
             break
         if hops is None:

@@ -605,6 +605,22 @@ def solved_csr_networks(seed, count):
         yield sys_, net
 
 
+def test_find_positions_and_insertion_points():
+    # rows: 0 holds 1, 3, 5; 1 is empty; 2 holds 0, 4; 3 holds 2, 6
+    graph = csr_array((np.ones(7), np.array([1, 3, 5, 0, 4, 2, 6]),
+                       np.array([0, 3, 3, 5, 7])), shape=(4, 8))
+    present = [(0, 1, 0), (0, 3, 1), (0, 5, 2), (2, 0, 3), (2, 4, 4),
+               (3, 2, 5), (3, 6, 6)]
+    # an absent entry goes before the first larger column of its own row, or
+    # at the row's end: past column 5 of row 0, into the empty row 1, and
+    # past the last row's end
+    absent = [(0, 0, 0), (0, 4, 2), (0, 7, 3), (1, 0, 3), (1, 7, 3),
+              (2, 2, 4), (2, 7, 5), (3, 0, 5), (3, 4, 6), (3, 7, 7)]
+    rows, cols, expected = np.array(present + absent).T
+    np.testing.assert_array_equal(flow._find(graph, rows, cols), expected)
+    assert flow._find(graph, rows[:0], cols[:0]).shape == (0,)
+
+
 class TestSolvedCsrNetwork:
     """The CSR kernel's flow, mapped onto the network's own arcs after
     Dinic, in both directions: a 0/1 flow that networkx confirms, and
@@ -701,6 +717,24 @@ def assert_residual_searches(net):
     np.testing.assert_array_equal(net.to_sink(), residual_matrix_to_sink(net))
     # a maximum flow leaves no residual path from s to t
     assert net.to_sink()[net.source] < 0
+    # each residual graph the searches run on holds the residual matrix's
+    # entries, a pair entered twice as often, with every row's columns
+    # ascending
+    for graph, matrix in (
+            (net._residual(False), residual_matrix(net)),
+            (net._residual(False, open_sources=True),
+             residual_matrix(net, open_sources=True)),
+            (net._residual(True), csr_array(residual_matrix(net).T))):
+        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+        assert np.all((np.diff(graph.indices) >= 0) | (np.diff(rows) > 0))
+        assert np.all(graph.data == 1)
+        matrix.sum_duplicates()
+        times = matrix.data.astype(np.int64)
+        np.testing.assert_array_equal(rows, np.repeat(
+            np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)),
+            times))
+        np.testing.assert_array_equal(graph.indices,
+                                      np.repeat(matrix.indices, times))
 
 
 def first_basis(adj, available, targets):
@@ -805,8 +839,9 @@ class TestLexicographicBasis:
         adj = {1: (3,), 2: (1,), 3: (), 4: (2, 3), 5: (1, 6), 6: ()}
         net = flow._network(*flow._flatten(adj, (5,), (3, 6)))
         # halves: k- = 2(k - 1) and k+ = 2k - 1, the sink 13
-        for u, v in ((8, 9), (9, 0), (0, 1), (1, 4), (4, 5), (5, 13)):
-            net.flow[net._arc(u, v)] = 1
+        tails, heads = np.array([(8, 9), (9, 0), (0, 1), (1, 4), (4, 5),
+                                 (5, 13)]).T
+        net.flow[flow._find(net.capacity, tails, heads)] = 1
         hops = net.to_sink()
         np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
         assert hops[7] == 4

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -267,6 +268,32 @@ class TestStateGraphView:
         for succs in steering_system.state_adjacency().values():
             assert type(succs) is tuple
             assert all(type(v) is int for v in succs)
+
+    def test_lookup_during_the_first_lookup(self, monkeypatch):
+        # another thread looks a node up while the first lookup is still
+        # building the graph's index: it must build its own or use a whole
+        # one, never half of one
+        view = StructuredSystem(n=4, state_edges=((1, 2), (2, 3), (1, 4))
+                                ).state_adjacency()
+        searchsorted, seen = np.searchsorted, []
+
+        def lookup():
+            try:
+                seen.append(view[2])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                seen.append(exc)
+
+        def interleaved(*args, **kwargs):
+            if not seen:
+                seen.append("first")
+                thread = threading.Thread(target=lookup)
+                thread.start()
+                thread.join()
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", interleaved)
+        assert view[1] == (2, 4)
+        assert seen == ["first", (3,)]
 
     def test_arrays_read_only(self, steering_system):
         view = steering_system.state_adjacency()
