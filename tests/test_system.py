@@ -280,7 +280,7 @@ class TestStateGraphView:
         def lookup():
             try:
                 seen.append(view[2])
-            except Exception as exc:  # noqa: BLE001 - reported below
+            except Exception as exc:  # compared below
                 seen.append(exc)
 
         def interleaved(*args, **kwargs):
@@ -288,7 +288,8 @@ class TestStateGraphView:
                 seen.append("first")
                 thread = threading.Thread(target=lookup)
                 thread.start()
-                thread.join()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
             return searchsorted(*args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", interleaved)
