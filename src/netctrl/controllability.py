@@ -317,19 +317,15 @@ def _cover_from_matching(
     paths and cycles covering all states.
     """
     n = sys.n
-    pred: dict[int, tuple[str, int]] = {}
     succ_of_state: dict[int, int] = {}
     stem_root_of: dict[int, int] = {}
     for j in range(n):
         c = int(match[j])
         state = j + 1
         if c < n:
-            pred[state] = ("x", c + 1)
             succ_of_state[c + 1] = state
         else:
-            k = c - n + 1
-            pred[state] = ("u", k)
-            stem_root_of[state] = k
+            stem_root_of[state] = c - n + 1
 
     stems = []
     on_stem: set[int] = set()

@@ -359,14 +359,13 @@ def parse_system(text: str) -> StructuredSystem:
     ``n`` must be the first directive.  ``input``/``output`` columns must be
     numbered consecutively from 1.
 
-    The well-formed ``edge`` lines (two runs of ASCII digits, separated by
-    spaces or tabs) are read in one pass over the text; every other line is
-    read one at a time.  "\\r\\n" counts as one line break there, as it does
-    for ``str.splitlines``.  When that pass cannot tell what the line-by-line
-    reading would have done (a line break other than "\\n" or "\\r\\n", an
-    ``edge`` line it cannot read, or an edge before ``n``), the whole text is
-    read line by line instead, so results and errors do not depend on the
-    pass.
+    Every line break that ``str.splitlines`` knows ("\\r\\n", a lone "\\r",
+    a form feed, U+2028, ...) first becomes "\\n".  The well-formed ``edge``
+    lines (two runs of at most 18 ASCII digits, separated by spaces or tabs)
+    are then read in one pass over the text; every other line is read one at
+    a time.  Only an ``edge`` line that pass cannot read sends the whole text
+    to a line-by-line reading instead, so results and errors do not depend
+    on the pass.
 
     Raises:
         ParseError: malformed line (reported with its line number).
@@ -375,16 +374,17 @@ def parse_system(text: str) -> StructuredSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _from_json(stripped)
-    body = text.replace("\r\n", "\n") if "\r" in text else text
-    if not any(c in body for c in _LINE_BREAKS):
-        # [text before the first edge line, its endpoints, text up to the
-        # next one, ...]; the text left keeps every line break
-        pieces = _EDGE_LINE.split(body)
-        first_edge = pieces[0].count("\n") + 1 if len(pieces) > 1 else math.inf
-        fields = _read_lines(_numbered_lines("".join(pieces[0::2])), first_edge)
-        if fields is not None:
-            ends = np.fromstring(" ".join(pieces[1::2]), dtype=np.int64, sep=" ")
-            return StructuredSystem(state_edges=ends.reshape(-1, 2), **fields)
+    # "\r\r\n" is two line breaks, so no replace("\r\n", "\n") will do
+    body = ("\n".join(text.splitlines())
+            if any(c in text for c in _LINE_BREAKS) else text)
+    # [text before the first edge line, its endpoints, text up to the next
+    # one, ...]; the text left keeps every line break
+    pieces = _EDGE_LINE.split(body)
+    first_edge = pieces[0].count("\n") + 1 if len(pieces) > 1 else math.inf
+    fields = _read_lines(_numbered_lines("".join(pieces[0::2])), first_edge)
+    if fields is not None:
+        ends = np.fromstring(" ".join(pieces[1::2]), dtype=np.int64, sep=" ")
+        return StructuredSystem(state_edges=ends.reshape(-1, 2), **fields)
     return StructuredSystem(**_read_lines(enumerate(text.splitlines(), start=1)))
 
 
@@ -402,20 +402,20 @@ def _read_lines(lines, first_edge: Optional[float] = None) -> Optional[dict]:
 
     ``first_edge`` is None when ``lines`` are all the lines of a text.
     Otherwise the edge lines were read in bulk, ``first_edge`` is the number
-    of the first of them (inf for none), and None is returned where the
-    per-line reading could have differed: the text has an ``edge`` line
-    among ``lines``, or an edge line before ``n``.
+    of the first of them (inf for none), and an edge before ``n`` is
+    reported at that line.  None is then returned when an ``edge`` line is
+    among ``lines``, one that is not two runs of at most 18 ASCII digits, so
+    that the whole text is read line by line instead.
     """
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
-    available: Optional[list[int]] = None
-    targets: Optional[list[int]] = None
+    sets: dict[str, list[int]] = {}
     inputs: list[tuple[int, ...]] = []
     outputs: list[tuple[int, ...]] = []
 
     for lineno, raw in lines:
         if n is None and first_edge is not None and lineno > first_edge:
-            return None
+            break
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -442,45 +442,32 @@ def _read_lines(lines, first_edge: Optional[float] = None) -> Optional[dict]:
             if len(values) != 2:
                 raise ParseError("'edge' takes exactly two integers", lineno)
             edges.append((values[0], values[1]))
-        elif keyword == "available":
-            if available is not None:
-                raise ParseError("duplicate 'available' directive", lineno)
-            available = values
-        elif keyword == "targets":
-            if targets is not None:
-                raise ParseError("duplicate 'targets' directive", lineno)
-            targets = values
-        elif keyword == "input":
+        elif keyword in ("available", "targets"):
+            if keyword in sets:
+                raise ParseError(f"duplicate {keyword!r} directive", lineno)
+            sets[keyword] = values
+        elif keyword in ("input", "output"):
+            rows, index, what = (
+                (inputs, "a column index", "input columns") if keyword == "input"
+                else (outputs, "a row index", "output rows"))
             if not values:
-                raise ParseError("'input' needs a column index", lineno)
-            if values[0] != len(inputs) + 1:
-                raise ParseError(
-                    f"input columns must be numbered consecutively; expected "
-                    f"{len(inputs) + 1}, got {values[0]}",
-                    lineno,
-                )
-            inputs.append(tuple(values[1:]))
-        elif keyword == "output":
-            if not values:
-                raise ParseError("'output' needs a row index", lineno)
-            if values[0] != len(outputs) + 1:
-                raise ParseError(
-                    f"output rows must be numbered consecutively; expected "
-                    f"{len(outputs) + 1}, got {values[0]}",
-                    lineno,
-                )
-            outputs.append(tuple(values[1:]))
+                raise ParseError(f"{keyword!r} needs {index}", lineno)
+            if values[0] != len(rows) + 1:
+                raise ParseError(f"{what} must be numbered consecutively; "
+                                 f"expected {len(rows) + 1}, got {values[0]}", lineno)
+            rows.append(tuple(values[1:]))
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 
     if n is None:
         if first_edge is not None and first_edge < math.inf:
-            return None
+            # the first edge line came before any "n"
+            raise ParseError("'n' must be the first directive", first_edge)
         raise ParseError("missing 'n' directive")
     fields = dict(
         n=n,
-        available=tuple(available or ()),
-        targets=tuple(targets or ()),
+        available=tuple(sets.get("available", ())),
+        targets=tuple(sets.get("targets", ())),
         explicit_inputs=tuple(inputs),
         explicit_outputs=tuple(outputs),
     )

@@ -549,6 +549,19 @@ def _outcome(parse, text):
     return "ok", result
 
 
+def _spy_read_lines(monkeypatch) -> list:
+    """The ``first_edge`` of every ``_read_lines`` call from now on."""
+    first_edges = []
+    read_lines = netctrl.system._read_lines
+
+    def spy(lines, first_edge=None):
+        first_edges.append(first_edge)
+        return read_lines(lines, first_edge)
+
+    monkeypatch.setattr(netctrl.system, "_read_lines", spy)
+    return first_edges
+
+
 class TestBulkParse:
     """The bulk edge pass reads every text as a line-by-line reader does."""
 
@@ -591,22 +604,34 @@ class TestBulkParse:
     @pytest.mark.parametrize("text, bulk", [
         ("n 3\r\nedge 1 2\r\nedge 2 3\r\n", True),
         ("n 3\nedge 1 2\r\nedge 2 3\n", True),
-        ("n 3\redge 1 2\r\nedge 2 3\r\n", False),
-        ("n 3\r\r\nedge 1 2\r\nedge 2 3\r\n", False),
+        ("n 3\redge 1 2\r\nedge 2 3\r\n", True),
+        ("n 3\r\r\nedge 1 2\r\nedge 2 3\r\n", True),
+        ("n 3\x0cedge 1 2\x0cedge 2 3\n", True),
+        ("n 3\u2028edge 1 2\u2028edge 2 3\u2028", True),
+        ("n 3\r\nedge 1 +2\r\nedge 2 3\r\n", False),
     ])
     def test_crlf_read_in_bulk(self, text, bulk, monkeypatch):
-        # "\r\n" alone keeps a text on the bulk pass, which hands _read_lines
-        # the number of the first edge line; a lone "\r" does not
-        first_edges = []
-        read_lines = netctrl.system._read_lines
-
-        def spy(lines, first_edge=None):
-            first_edges.append(first_edge)
-            return read_lines(lines, first_edge)
-
-        monkeypatch.setattr(netctrl.system, "_read_lines", spy)
+        # every line break str.splitlines knows keeps a text on the bulk
+        # pass: one _read_lines call, given the number of the first edge
+        # line; an edge line that pass cannot read adds a line-by-line call
+        first_edges = _spy_read_lines(monkeypatch)
         assert parse_system(text).state_edges == ((1, 2), (2, 3))
-        assert (first_edges[0] is not None) == bulk
+        assert [e is not None for e in first_edges] == [True] + [False] * (not bulk)
+        assert _outcome(parse_system, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("edge 1 2\nn 3\n", 1),
+        ("# c\nedge 1 2\nfoo\nn 3\n", 2),
+        ("edge 1 2\n", 1),
+    ])
+    def test_edge_before_n_read_in_bulk(self, text, line, monkeypatch):
+        # the bulk pass reports an edge before "n" at the first edge line,
+        # as the line-by-line reader does, without reading the text again
+        first_edges = _spy_read_lines(monkeypatch)
+        with pytest.raises(ParseError, match="'n' must be the first directive") as exc:
+            parse_system(text)
+        assert exc.value.line == line
+        assert first_edges == [line]
         assert _outcome(parse_system, text) == _outcome(reference_parse, text)
 
     @settings(max_examples=15, deadline=None)
