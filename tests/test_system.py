@@ -616,7 +616,7 @@ class TestBulkParse:
         # line; an edge line that pass cannot read adds a line-by-line call
         first_edges = _spy_read_lines(monkeypatch)
         assert parse_system(text).state_edges == ((1, 2), (2, 3))
-        assert [e is not None for e in first_edges] == [True] + [False] * (not bulk)
+        assert [e is not None for e in first_edges] == ([True] if bulk else [True, False])
         assert _outcome(parse_system, text) == _outcome(reference_parse, text)
 
     @pytest.mark.parametrize("text, line", [
