@@ -57,8 +57,10 @@ question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
 example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
 laid out as CSR arrays and solved by scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
-however small the network but is several times faster on large ones.  Dinic
-starts from the smaller terminal set: with fewer targets than sources it
+however small the network.  It runs on the sub-network over balls grown
+from A and T until the flow's value, a residual cut or balls that cannot
+grow prove the flow maximum on the whole network (:meth:`_CsrFlow.solve`),
+and from the smaller terminal set: with fewer targets than sources it
 solves the reversed network from the sink.  Its flow is then mapped once
 onto the network's own arcs, as a 0/1 array in the layout that the greedy
 holds its flow in, and every residual graph and flow path is read off that
@@ -683,12 +685,10 @@ class _CsrFlow:
         n = len(labels)
         self.labels, self.sources, self.sinks = labels, sources, sinks
         self.source, self.sink = 2 * n, 2 * n + 1
-        is_sink = np.zeros(n, dtype=bool)
-        is_sink[sinks] = True
         out_edges = np.bincount(tails, minlength=n)
         row_len = np.zeros(2 * n + 2, dtype=np.int64)
         row_len[0:2 * n:2] = 1
-        row_len[1:2 * n:2] = out_edges + is_sink
+        row_len[1:2 * n:2] = out_edges + np.bincount(sinks, minlength=n)
         row_len[self.source] = len(sources)
         indptr = np.zeros(2 * n + 3, dtype=np.int64)
         np.cumsum(row_len, out=indptr[1:])
@@ -715,11 +715,76 @@ class _CsrFlow:
         return csr_array(self.capacity.T)
 
     def solve(self) -> None:
-        # Dinic searches breadth-first from the terminal it starts at, in
-        # every phase, so it is started at the smaller terminal set: with
-        # many sources and few sinks the sources' side spans most of a large
-        # graph, the sinks' side does not.  From the sink it solves the
-        # reversed network, whose flow is the forward one read backwards.
+        """Augment to a maximum flow: Dinic's on the sub-network over
+        W = F | B, which has both halves of each node of W, s, t and their
+        arcs, and the edge arcs within W, mapped onto this network.  F grows
+        forward from A and B backward from T a level at a time, the smaller
+        while it can, until they share 2 min(|A|, |T|) nodes.  The flow is
+        maximum here too if (1) its value is min(|A|, |T|), (2) the residual
+        search from t reaches no entry half of a node with a predecessor
+        outside W, (3) the one from s no exit half of a node with a successor
+        outside W, or (4) neither ball can grow, so W holds every A-T path.
+        Else W grows to at least twice its size, or, once it holds half the
+        nodes, to this whole network.  (2) and (3) hold as every arc between
+        two nodes of the sub-network is in it and no other carries flow: an
+        augmenting path here would enter the t-side set, or leave the s-side
+        set, by a forward edge arc u+ -> v- into or out of W."""
+        n = len(self.labels)
+        fronts = [self.sources, self.sinks]
+        balls = [np.bincount(front, minlength=n) > 0 for front in fronts]
+        sizes = [len(front) for front in fronts]
+        covered, bound = int(np.count_nonzero(balls[0] | balls[1])), min(sizes)
+        to_share, to_cover = 2 * bound, 0
+        while True:
+            while ((len(fronts[0]) or len(fronts[1])) and 2 * covered < n and
+                   (sum(sizes) - covered < to_share or covered < to_cover)):
+                side = int(sizes[1] < sizes[0])
+                side = side if len(fronts[side]) else 1 - side
+                nodes = np.sort(self._neighbours(fronts[side], side == 0)[1])
+                fresh = ~balls[side][nodes] & (np.diff(nodes, prepend=-1) > 0)
+                new = nodes[fresh]
+                balls[side][new] = True
+                fronts[side], sizes[side] = new, sizes[side] + len(new)
+                covered += int(np.count_nonzero(~balls[1 - side][new]))
+            if 2 * covered >= n:
+                return self._dinic()
+            inside = balls[0] | balls[1]
+            within, index = np.flatnonzero(inside), np.cumsum(inside) - 1
+            tails, heads = self._neighbours(within, True)
+            kept = inside[heads]
+            sub = _CsrFlow(within, index[self.sources], index[self.sinks],
+                           index[tails[kept]], index[heads[kept]])
+            sub._dinic()
+            if sub.value == bound or not (len(fronts[0]) or len(fronts[1])):
+                break
+            into, outer = self._neighbours(within, False)
+            entered, left = index[into[~inside[outer]]], index[tails[~kept]]
+            if (not _reached(sub._residual(True), sub.sink)[2 * entered].any()
+                    or not _reached(sub._residual(False), sub.source)[
+                        2 * left + 1].any()):
+                break
+            to_share, to_cover = 0, 2 * covered
+        _, tails, heads = sub._carrying()
+        halves = np.append((2 * within[:, None] + [0, 1]).ravel(),
+                           [self.source, self.sink])
+        self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
+        self.flow[_find(self.capacity, halves[tails], halves[heads])] = 1
+        self.value = sub.value
+
+    def _neighbours(self, nodes: np.ndarray, forward: bool) -> tuple:
+        """The edges out of ``nodes``, or into them, as (node, neighbour)."""
+        graph = self.capacity if forward else self._reversed
+        rows = 2 * nodes + forward
+        counts = graph.indptr[rows + 1] - graph.indptr[rows]
+        at = np.repeat(graph.indptr[rows] - np.cumsum(counts) + counts, counts)
+        ends = graph.indices[at + np.arange(len(at))]
+        edge = ends < self.source  # not s or t
+        return np.repeat(nodes, counts)[edge], ends[edge] // 2
+
+    def _dinic(self) -> None:
+        """Dinic on this network from the smaller terminal set, as its search
+        from many sources spans most of a large graph: from the sink on the
+        reversed network, whose flow is the forward one read backwards."""
         backward = len(self.sinks) < len(self.sources)
         result = maximum_flow(*((self._reversed, self.sink, self.source)
                                 if backward else

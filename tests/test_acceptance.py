@@ -34,7 +34,6 @@ from netctrl import (
     track_trajectory,
     transfer_rank,
 )
-from netctrl import flow
 from netctrl.flow import SOURCE
 from netctrl.numeric import PreconditionError
 
@@ -46,6 +45,7 @@ from .oracles import (
     bf_minimum_separators,
     is_separator,
 )
+from .test_properties import count_networks
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -220,15 +220,10 @@ def test_criterion_7_complexity_smoke(monkeypatch):
         n=n, state_edges=tuple(edges), available=available, targets=targets
     )
 
-    # the four questions on the system's own sets share one solved network
-    built = []
-    build = flow._CsrFlow
-
-    def counted_build(*args):
-        built.append(len(args[0]))
-        return build(*args)
-
-    monkeypatch.setattr(flow, "_CsrFlow", counted_build)
+    # the four questions on the system's own sets share one network over
+    # the whole graph, solved once
+    calls = {"build": 0, "solve": 0}
+    count_networks(monkeypatch, calls, n)
     graph = sys_.state_adjacency()
     start = time.perf_counter()
     classification = classify_nodes(sys_)
@@ -242,7 +237,7 @@ def test_criterion_7_complexity_smoke(monkeypatch):
     )
     assert labelled == set(available)
     assert len(solution.steering) == len(separator) == linking.size == 10
-    assert built == [n]
+    assert calls == {"build": 1, "solve": 1}
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     _report("7", f"classified, solved, separated and linked n=100000, "
                  f"e=300000, p=10 in {elapsed:.2f} s")

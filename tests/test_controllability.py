@@ -29,7 +29,7 @@ from .oracles import (
     bf_max_linking_size,
     reachable_from,
 )
-from .test_properties import both_kernels, counted
+from .test_properties import both_kernels, count_networks, counted
 
 
 class TestFunctionalTargetControllability:
@@ -180,23 +180,26 @@ class TestSolveMtcp:
 
         def solve(*args):
             """solve_mtcp's answer, and how often it read the graph, built a
-            network and called max_linking_size."""
-            calls = {"read": 0, "build": 0, "max_linking_size": 0}
+            network over the whole graph, solved one and called
+            max_linking_size."""
+            calls = {"read": 0, "build": 0, "solve": 0, "max_linking_size": 0}
             with pytest.MonkeyPatch.context() as mp:
-                for key, name in (("read", "_flatten"), ("build", "_PyFlow"),
-                                  ("build", "_CsrFlow"),
+                for key, name in (("read", "_flatten"),
                                   ("max_linking_size", "max_linking_size")):
                     mp.setattr(flow, name, counted(getattr(flow, name), calls,
                                                    key))
+                count_networks(mp, calls, args[0].n)
                 return solve_mtcp(*args), calls
 
         for result, calls in both_kernels(solve, sys_, True):
             assert result.steering == (1, 4)
-            assert calls == {"read": 1, "build": 1, "max_linking_size": 0}
+            assert calls == {"read": 1, "build": 1, "solve": 0,
+                             "max_linking_size": 0}
         for result, calls in both_kernels(solve, short, True):
             assert result == solve_mtcp(short)
             assert result.best_linking.paths == ((7, 8),)
-            assert calls == {"read": 1, "build": 1, "max_linking_size": 0}
+            assert calls == {"read": 1, "build": 1, "solve": 1,
+                             "max_linking_size": 0}
 
     def test_requires_targets(self):
         with pytest.raises(ValidationError):
@@ -457,14 +460,15 @@ class TestOneSolvePerSets:
     answer off it."""
 
     @staticmethod
-    def builds_and_solves(question, *args):
-        """``question``'s answer, and how many CSR networks it built and
-        solved."""
+    def builds_and_solves(question, graph, *args):
+        """``question``'s answer, and how many networks over the whole graph
+        it built and how many it solved (see ``count_networks``)."""
+        n = len(graph.state_adjacency() if isinstance(graph, StructuredSystem)
+                else graph)
         calls = {"build": 0, "solve": 0}
         with pytest.MonkeyPatch.context() as mp:
-            for key, name in (("build", "_CsrFlow"), ("solve", "maximum_flow")):
-                mp.setattr(flow, name, counted(getattr(flow, name), calls, key))
-            return question(*args), calls
+            count_networks(mp, calls, n)
+            return question(graph, *args), calls
 
     def test_one_solve_for_the_four_questions(self):
         sys_ = csr_sized_system()

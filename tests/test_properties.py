@@ -331,6 +331,36 @@ def counted(fn, calls, key):
     return spy
 
 
+# both kernels' classes, held here before any test replaces their names in
+# ``flow`` with a spy
+KERNELS = (flow._PyFlow, flow._CsrFlow)
+
+
+def count_networks(mp, calls, n):
+    """Count, through the MonkeyPatch ``mp``, the networks built over all
+    ``n`` labels of a graph on either kernel in ``calls["build"]``, and the
+    solves of either kernel in ``calls["solve"]``.  The CSR kernel's solve
+    runs Dinic on networks over parts of the graph: one may be built there,
+    and nowhere else."""
+    solving = []
+    for kernel in KERNELS:
+        def counted_build(net, labels, *rest, build=kernel.__init__):
+            assert len(labels) == n or solving
+            calls["build"] += len(labels) == n
+            build(net, labels, *rest)
+
+        def counted_solve(net, solve=kernel.solve):
+            calls["solve"] += 1
+            solving.append(net)
+            try:
+                solve(net)
+            finally:
+                solving.pop()
+
+        mp.setattr(kernel, "__init__", counted_build)
+        mp.setattr(kernel, "solve", counted_solve)
+
+
 def nx_linking_size(adj, available, targets):
     """Max linking size by networkx on a node-split network built here."""
     a_set, t_set = set(available), set(targets)
@@ -860,3 +890,138 @@ class TestLexicographicBasis:
                                        (4, 5, 6)):
             assert linking.paths == ((1, 8, 9, 10, 11, 5), (2, 7, 4),
                                      (3, 17, 12, 13, 14, 15, 16, 6))
+
+
+def dinic_runs(monkeypatch):
+    """A list that records, for each run of Dinic on a CSR network, how
+    many labels the network has, and one that records, for each residual
+    graph built, its network's labels and whether it is reversed."""
+    runs, residuals = [], []
+    dinic, residual = flow._CsrFlow._dinic, flow._CsrFlow._residual
+
+    def counted_dinic(net):
+        runs.append(len(net.labels))
+        return dinic(net)
+
+    def counted_residual(net, backward, open_sources=False):
+        residuals.append((len(net.labels), backward))
+        return residual(net, backward, open_sources)
+
+    monkeypatch.setattr(flow._CsrFlow, "_dinic", counted_dinic)
+    monkeypatch.setattr(flow._CsrFlow, "_residual", counted_residual)
+    return runs, residuals
+
+
+def whole_network(graph, available, targets):
+    """The CSR network over all of ``graph``, with Dinic's maximum flow on
+    all of it: the reference for the sub-network's answers."""
+    net = flow._CsrFlow(*flow._flatten(graph, available, targets))
+    net._dinic()
+    return net
+
+
+def funnel(reverse):
+    """A graph, available set and targets on which the first sub-network's
+    flow is not maximum, and a regrown one's is proved so by a cut.
+
+    a1 -> p1..p5 -> t1 is short and a2 -> q1..q200 -> t2 long, so the balls
+    share six nodes of the short path long before they cover the long one,
+    and the first flow is 1.  a3 starts a path of 1000 nodes that reaches no
+    target, and t3's one predecessor z has none, so no flow exceeds 2 while
+    min(|A|, |T|) = 3, and F grows along a3's path without end.  Once B holds
+    the whole long path it can grow no further, and the residual search from
+    t reaches the entry half of t3 alone, whose predecessor z lies in W: the
+    cut near T proves the flow of 2 maximum (rule 2), while the search from
+    s reaches the last node of a3's path in W, whose successor lies outside.
+    With ``reverse`` every edge is reversed and A and T swap places: the cut
+    near A proves it (rule 3)."""
+    names = (["a1", "a2", "a3", "t1", "t2", "t3", "z"]
+             + [f"p{k}" for k in range(1, 6)] + [f"q{k}" for k in range(1, 201)]
+             + [f"r{k}" for k in range(1, 1001)])
+    at = {name: k for k, name in enumerate(names)}
+    chains = (["a1"] + [f"p{k}" for k in range(1, 6)] + ["t1"],
+              ["a2"] + [f"q{k}" for k in range(1, 201)] + ["t2"],
+              ["a3"] + [f"r{k}" for k in range(1, 1001)], ["z", "t3"])
+    edges = [(at[u], at[v]) for chain in chains for u, v in zip(chain, chain[1:])]
+    if reverse:
+        edges = [(v, u) for u, v in edges]
+    adj = {k: tuple(sorted(v for u, v in edges if u == k))
+           for k in range(len(names))}
+    available, targets = [at["a1"], at["a2"], at["a3"]], [at["t1"], at["t2"],
+                                                          at["t3"]]
+    return (adj, targets, available) if reverse else (adj, available, targets)
+
+
+class TestSubNetworkSolve:
+    """The CSR kernel runs Dinic on a sub-network around A and T and grows
+    it until a cut proves its flow maximum on the whole network: every value,
+    separator and essential set is the whole network's, and every linking a
+    maximum one."""
+
+    def check(self, graph, available, targets, runs):
+        """Each answer against Dinic on the whole network and networkx; the
+        labels of the networks that Dinic ran on for the four questions."""
+        ref = whole_network(graph, available, targets)
+        assert ref.value == nx_linking_size(graph, available, targets)
+        runs.clear()
+        assert max_linking_size(graph, available, targets) == ref.value
+        solved = list(runs)
+        assert minimal_left_separator(graph, available, targets) == ref.separator()
+        value, essential, _ = essential_start_analysis(graph, available, targets)
+        assert (value, essential) == (ref.value, ref.essential())
+        linking = maximum_linking(graph, available, targets)
+        assert linking.size == ref.value
+        assert_valid_linking(linking, graph, available, targets)
+        # a StateGraph keeps the network for the next three questions
+        assert runs == solved or not isinstance(graph, flow.StateGraph)
+        return solved
+
+    def test_random_sets_on_one_graph(self, monkeypatch):
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        runs, _ = dinic_runs(monkeypatch)
+        rng = random.Random(41)
+        seen = {"regrown": 0, "sub": 0, "whole": 0, "from_sink": 0,
+                "from_source": 0, "shared": 0, "negative": 0, "self_loops": 0}
+        for n, per_node in ((1500, 1.0), (1500, 1.5), (600, 3.0)):
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(int(per_node * n))}
+            edges |= {(v, v) for v in rng.sample(range(1, n + 1), n // 20)}
+            graph = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
+            has_in = {v for _, v in edges}
+            for _ in range(30):
+                available = rng.sample(range(1, n + 1), rng.randint(1, 12))
+                targets = rng.sample(range(1, n + 1), rng.randint(1, 12))
+                if rng.random() < 0.3:
+                    targets += rng.sample(available, 1)
+                if rng.random() < 0.3:
+                    targets.append(rng.choice(sorted(set(range(1, n + 1))
+                                                     - has_in)))
+                targets = sorted(set(targets))
+                solved = self.check(graph, available, targets, runs)
+                seen["regrown"] += len(solved) > 1
+                seen["sub" if solved[-1] < n else "whole"] += 1
+                seen["from_sink" if len(targets) < len(available)
+                     else "from_source"] += 1
+                seen["shared"] += bool(set(available) & set(targets))
+                seen["negative"] += (max_linking_size(graph, available, targets)
+                                     < min(len(available), len(targets)))
+                seen["self_loops"] += any(
+                    (v, v) in edges for path in
+                    maximum_linking(graph, available, targets).paths
+                    for v in path)
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_regrown_until_a_cut_proves_it(self, monkeypatch, reverse):
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        runs, residuals = dinic_runs(monkeypatch)
+        adj, available, targets = funnel(reverse)
+        assert max_linking_size(adj, available, targets) == 2
+        # the first sub-network's flow is 1; a regrown one's is 2, and a cut
+        # proves it maximum before W holds half the nodes
+        assert len(runs) >= 2 and runs[-1] < len(adj) / 2
+        # the cut near T is tried first and accepts alone; the cut near A is
+        # tried after it
+        assert [backward for size, backward in residuals
+                if size == runs[-1]] == ([True, False] if reverse else [True])
+        self.check(adj, available, targets, runs)
