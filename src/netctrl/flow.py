@@ -26,12 +26,15 @@ it crosses an edge into A or out of T, so both have the same minimum cuts.
 One solved network answers all four questions, so it is kept for the next:
 a StateGraph over read-only edge arrays, such as a system's
 ``state_adjacency()``, holds the last CSR-sized network solved over it,
-keyed by the positions of A and T, until a question on other sets replaces
-it (:func:`_solved`).  Only one is held, so a graph keeps at most one
-network however many sets it is asked about, and only a CSR-sized one: the
-Python kernel solves a small network in 10-100 us, while a batch of small
-systems would each hold theirs.  A dict, or a StateGraph over writable
-arrays, which may change under it, keeps none.
+keyed by the positions of A and T, until a labelling question (separator,
+essential set, reaching T) on other sets replaces it (:func:`_solved`).  A
+question on the linking's size or paths alone that misses it is answered
+off the CSR kernel's sub-network (below), builds no network over the whole
+graph and leaves the kept one.  Only one is held, so a graph keeps at most
+one network however many sets it is asked about, and only a CSR-sized one:
+the Python kernel solves a small network in 10-100 us, while a batch of
+small systems would each hold theirs.  A dict, or a StateGraph over
+writable arrays, which may change under it, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -58,10 +61,11 @@ example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
 laid out as CSR arrays and solved by scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
 however small the network.  It runs on the sub-network over balls grown
-from A and T until the flow's value, a residual cut or balls that cannot
-grow prove the flow maximum on the whole network (:meth:`_CsrFlow.solve`),
-and from the smaller terminal set: with fewer targets than sources it
-solves the reversed network from the sink.  Its flow is then mapped once
+from A and T, along the graph's successors and a predecessor index kept
+with it, until the flow's value, a residual cut or balls that cannot grow
+prove the flow maximum on the whole network (:func:`_sub_solved`), and
+from the smaller terminal set: with fewer targets than sources it solves
+the reversed network from the sink.  Its flow is then mapped once
 onto the network's own arcs, as a 0/1 array in the layout that the greedy
 holds its flow in, and every residual graph and flow path is read off that
 array.  Both kernels return the same flow value, separator and essential
@@ -236,7 +240,8 @@ class StateGraph(Mapping):
     :func:`_flatten`).
     """
 
-    __slots__ = ("labels", "tails", "heads", "_lookup", "_last_solved")
+    __slots__ = ("labels", "tails", "heads", "_lookup", "_index",
+                 "_last_solved")
 
     def __init__(self, labels: Sequence[Node], tails: np.ndarray,
                  heads: np.ndarray):
@@ -247,6 +252,9 @@ class StateGraph(Mapping):
         # in another thread sees all of it or none: (_indexer's function,
         # per node its first edge)
         self._lookup = None
+        # _edge_index's successors and predecessors, for graphs over
+        # read-only edge arrays: built on first use, set as _lookup is
+        self._index = None
         # (key, network) of the last CSR-sized network solved over read-only
         # edge arrays, or None: see _solved
         self._last_solved = None
@@ -684,6 +692,7 @@ class _CsrFlow:
         _load_scipy()
         n = len(labels)
         self.labels, self.sources, self.sinks = labels, sources, sinks
+        self.edges = (tails, heads)
         self.source, self.sink = 2 * n, 2 * n + 1
         out_edges = np.bincount(tails, minlength=n)
         row_len = np.zeros(2 * n + 2, dtype=np.int64)
@@ -714,72 +723,22 @@ class _CsrFlow:
         """The network with every arc reversed."""
         return csr_array(self.capacity.T)
 
-    def solve(self) -> None:
-        """Augment to a maximum flow: Dinic's on the sub-network over
-        W = F | B, which has both halves of each node of W, s, t and their
-        arcs, and the edge arcs within W, mapped onto this network.  F grows
-        forward from A and B backward from T a level at a time, the smaller
-        while it can, until they share 2 min(|A|, |T|) nodes.  The flow is
-        maximum here too if (1) its value is min(|A|, |T|), (2) the residual
-        search from t reaches no entry half of a node with a predecessor
-        outside W, (3) the one from s no exit half of a node with a successor
-        outside W, or (4) neither ball can grow, so W holds every A-T path.
-        Else W grows to at least twice its size, or, once it holds half the
-        nodes, to this whole network.  (2) and (3) hold as every arc between
-        two nodes of the sub-network is in it and no other carries flow: an
-        augmenting path here would enter the t-side set, or leave the s-side
-        set, by a forward edge arc u+ -> v- into or out of W."""
-        n = len(self.labels)
-        fronts = [self.sources, self.sinks]
-        balls = [np.bincount(front, minlength=n) > 0 for front in fronts]
-        sizes = [len(front) for front in fronts]
-        covered, bound = int(np.count_nonzero(balls[0] | balls[1])), min(sizes)
-        to_share, to_cover = 2 * bound, 0
-        while True:
-            while ((len(fronts[0]) or len(fronts[1])) and 2 * covered < n and
-                   (sum(sizes) - covered < to_share or covered < to_cover)):
-                side = int(sizes[1] < sizes[0])
-                side = side if len(fronts[side]) else 1 - side
-                nodes = np.sort(self._neighbours(fronts[side], side == 0)[1])
-                fresh = ~balls[side][nodes] & (np.diff(nodes, prepend=-1) > 0)
-                new = nodes[fresh]
-                balls[side][new] = True
-                fronts[side], sizes[side] = new, sizes[side] + len(new)
-                covered += int(np.count_nonzero(~balls[1 - side][new]))
-            if 2 * covered >= n:
-                return self._dinic()
-            inside = balls[0] | balls[1]
-            within, index = np.flatnonzero(inside), np.cumsum(inside) - 1
-            tails, heads = self._neighbours(within, True)
-            kept = inside[heads]
-            sub = _CsrFlow(within, index[self.sources], index[self.sinks],
-                           index[tails[kept]], index[heads[kept]])
-            sub._dinic()
-            if sub.value == bound or not (len(fronts[0]) or len(fronts[1])):
-                break
-            into, outer = self._neighbours(within, False)
-            entered, left = index[into[~inside[outer]]], index[tails[~kept]]
-            if (not _reached(sub._residual(True), sub.sink)[2 * entered].any()
-                    or not _reached(sub._residual(False), sub.source)[
-                        2 * left + 1].any()):
-                break
-            to_share, to_cover = 0, 2 * covered
+    def solve(self, index=None) -> None:
+        """Augment to a maximum flow: :func:`_sub_solved`'s, mapped onto
+        this network, or Dinic's on all of it if that gives up.  ``index`` is
+        the graph's :func:`_edge_index`, built here if not given."""
+        if index is None:
+            index = _edge_index(len(self.labels), *self.edges)
+        found = _sub_solved(len(self.labels), self.sources, self.sinks, index)
+        if found is None:
+            return self._dinic()
+        sub, within = found
         _, tails, heads = sub._carrying()
         halves = np.append((2 * within[:, None] + [0, 1]).ravel(),
                            [self.source, self.sink])
         self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
         self.flow[_find(self.capacity, halves[tails], halves[heads])] = 1
         self.value = sub.value
-
-    def _neighbours(self, nodes: np.ndarray, forward: bool) -> tuple:
-        """The edges out of ``nodes``, or into them, as (node, neighbour)."""
-        graph = self.capacity if forward else self._reversed
-        rows = 2 * nodes + forward
-        counts = graph.indptr[rows + 1] - graph.indptr[rows]
-        at = np.repeat(graph.indptr[rows] - np.cumsum(counts) + counts, counts)
-        ends = graph.indices[at + np.arange(len(at))]
-        edge = ends < self.source  # not s or t
-        return np.repeat(nodes, counts)[edge], ends[edge] // 2
 
     def _dinic(self) -> None:
         """Dinic on this network from the smaller terminal set, as its search
@@ -926,6 +885,79 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
     return _reached(graph, n)[:n]
 
 
+def _edge_index(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
+    """The successors and the predecessors of the graph on ``n`` nodes with
+    the edges ``tails[k] -> heads[k]``, sorted by tail, then head, as two CSR
+    arrays over positions, each row ascending: the first over the edge arrays
+    themselves, the second its transpose, scipy's counting sort."""
+    _load_scipy()
+    forward = csr_array((np.ones(len(heads), dtype=np.int8), heads,
+                         _below(tails, n)), shape=(n, n))
+    return forward, csr_array(forward.T)
+
+
+def _neighbours(graph: csr_array, nodes: np.ndarray) -> tuple:
+    """The entries of ``graph`` in the rows ``nodes``, as (row, column)."""
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.repeat(nodes, counts), graph.indices[at + np.arange(len(at))]
+
+
+def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
+                index: tuple) -> tuple | None:
+    """A sub-network of the network over ``n`` nodes, solved by Dinic's,
+    whose flow is maximum on the whole network, and its nodes' positions,
+    or None once it would hold half the nodes.  It is over W = F | B, with
+    both halves of each node of W, s, t and their arcs, and the edge arcs
+    within W.  F grows forward from A along the successors of ``index``
+    (:func:`_edge_index`) and B backward from T along its predecessors, a
+    level at a time, the smaller while it can, until they share
+    2 min(|A|, |T|) nodes.  The flow is maximum on the whole network if (1)
+    its value is min(|A|, |T|), (2) the residual search from t reaches no
+    entry half of a node with a predecessor outside W, (3) the one from s no
+    exit half of a node with a successor outside W, or (4) neither ball can
+    grow, so W holds every A-T path.  Else W grows to at least twice its
+    size.  (2) and (3) hold as every arc between two nodes of the
+    sub-network is in it and no other carries flow: an augmenting path here
+    would enter the t-side set, or leave the s-side set, by a forward edge
+    arc u+ -> v- into or out of W."""
+    fronts = [sources, sinks]
+    balls = [np.bincount(front, minlength=n) > 0 for front in fronts]
+    sizes = [len(front) for front in fronts]
+    covered, bound = int(np.count_nonzero(balls[0] | balls[1])), min(sizes)
+    to_share, to_cover = 2 * bound, 0
+    while True:
+        while ((len(fronts[0]) or len(fronts[1])) and 2 * covered < n and
+               (sum(sizes) - covered < to_share or covered < to_cover)):
+            side = int(sizes[1] < sizes[0])
+            side = side if len(fronts[side]) else 1 - side
+            nodes = np.sort(_neighbours(index[side], fronts[side])[1])
+            fresh = ~balls[side][nodes] & (np.diff(nodes, prepend=-1) > 0)
+            new = nodes[fresh]
+            balls[side][new] = True
+            fronts[side], sizes[side] = new, sizes[side] + len(new)
+            covered += int(np.count_nonzero(~balls[1 - side][new]))
+        if 2 * covered >= n:
+            return None
+        inside = balls[0] | balls[1]
+        within, at = np.flatnonzero(inside), np.cumsum(inside) - 1
+        tails, heads = _neighbours(index[0], within)
+        kept = inside[heads]
+        sub = _CsrFlow(within, at[sources], at[sinks], at[tails[kept]],
+                       at[heads[kept]])
+        sub._dinic()
+        if sub.value == bound or not (len(fronts[0]) or len(fronts[1])):
+            return sub, within
+        into, outer = _neighbours(index[1], within)
+        entered, left = at[into[~inside[outer]]], at[tails[~kept]]
+        if (not _reached(sub._residual(True), sub.sink)[2 * entered].any()
+                or not _reached(sub._residual(False), sub.source)[
+                    2 * left + 1].any()):
+            return sub, within
+        to_share, to_cover = 0, 2 * covered
+
+
 def _find(graph: csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Per k, the position of the entry (rows[k], cols[k]) in ``graph``, or
     where it would go if there is none: a bisection of every row at once,
@@ -969,28 +1001,46 @@ def _network(labels, sources, sinks, tails, heads) -> _PyFlow | _CsrFlow:
     return _PyFlow(labels, sources, sinks, tails, heads)
 
 
-def _solved(graph, available, targets) -> _PyFlow | _CsrFlow:
+def _solved(graph, available, targets,
+            paths_only: bool = False) -> _PyFlow | _CsrFlow:
     """That network with a maximum flow, never to be changed by the caller.
 
-    A StateGraph over read-only edge arrays keeps the last CSR-sized one
-    solved over it, keyed by the positions of A and T, with its flow made
-    read-only, and hands it back for the same sets.  The graph is read, and
-    its nodes checked, every time."""
+    A StateGraph over read-only edge arrays keeps its :func:`_edge_index`
+    and the last CSR-sized network solved over it, keyed by the positions
+    of A and T, with its flow made read-only, and hands it back for the same
+    sets.  A question on the flow's value and paths alone (``paths_only``)
+    is answered off :func:`_sub_solved`'s sub-network, with its nodes'
+    labels, when that proves its flow maximum: no network is built over the
+    whole graph, and the kept one stays.  The graph is read, and its nodes
+    checked, every time."""
     flat = _flatten(graph, available, targets)
     labels, sources, sinks, tails, heads = flat
+    if len(labels) + len(tails) < CSR_MIN_ARCS:
+        net = _PyFlow(*flat)
+        net.solve()
+        return net
     kept = (isinstance(graph, StateGraph)
-            and len(labels) + len(tails) >= CSR_MIN_ARCS
             and not (tails.flags.writeable or heads.flags.writeable))
     if kept:
-        key = (sources.tobytes(), sinks.tobytes())
-        last = graph._last_solved
+        key, last = (sources.tobytes(), sinks.tobytes()), graph._last_solved
         if last is not None and last[0] == key:
             return last[1]
+        if graph._index is None:
+            graph._index = _edge_index(len(labels), tails, heads)
+    index = graph._index if kept else _edge_index(len(labels), tails, heads)
+    found = paths_only and _sub_solved(len(labels), sources, sinks, index)
+    if found:
+        found[0].labels = _labels_at(labels, found[1])
+        return found[0]
+    if kept:
         # both references dropped, so the old network is freed before the
         # new one is built
         last = graph._last_solved = None
-    net = _network(*flat)
-    net.solve()
+    net = _CsrFlow(*flat)
+    if paths_only:
+        net._dinic()  # the sub-network reached half the nodes
+    else:
+        net.solve(index)
     if kept:
         net.flow.flags.writeable = False
         graph._last_solved = (key, net)
@@ -1003,7 +1053,7 @@ def max_linking_size(
     targets: Iterable[Node],
 ) -> int:
     """Size of a maximum set of vertex-disjoint direct available-target paths."""
-    return _solved(graph, available, targets).value
+    return _solved(graph, available, targets, paths_only=True).value
 
 
 def maximum_linking(
@@ -1015,7 +1065,7 @@ def maximum_linking(
     each trimmed to run from its last available node to the first target
     after it, ordered by start node."""
     available, targets = tuple(available), tuple(targets)
-    return _trimmed(_solved(graph, available, targets).paths(),
+    return _trimmed(_solved(graph, available, targets, paths_only=True).paths(),
                     set(available), set(targets))
 
 

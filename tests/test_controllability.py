@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import sys
 import threading
 
 import networkx as nx
@@ -480,17 +481,21 @@ class TestOneSolvePerSets:
         assert not kept.flow.flags.writeable
         # a fresh system builds its own network and answers the same
         assert answers == four_questions(csr_sized_system())
-        # a check on another steering set builds anew, and so does the next
-        # question on the system's own sets
-        steering = sys_.available[:5]
-        verdict, calls = self.builds_and_solves(
-            is_functional_target_controllable, sys_, steering)
-        assert calls == {"build": 1, "solve": 1}
-        assert verdict == is_functional_target_controllable(csr_sized_system(),
-                                                            steering)
-        again, calls = self.builds_and_solves(classify_nodes, sys_)
-        assert calls == {"build": 1, "solve": 1}
-        assert again == classes
+        # a check on another steering set solves its sub-network alone: it
+        # builds no network over the whole graph and keeps the one kept, so
+        # the next question on the system's own sets builds and solves
+        # nothing
+        last = sys_.state_adjacency()._last_solved
+        for steering in (sys_.available[:5], sys_.available[2:]):
+            verdict, calls = self.builds_and_solves(
+                is_functional_target_controllable, sys_, steering)
+            assert calls == {"build": 0, "solve": 1}
+            assert sys_.state_adjacency()._last_solved is last
+            assert verdict == is_functional_target_controllable(
+                csr_sized_system(), steering)
+            again, calls = self.builds_and_solves(classify_nodes, sys_)
+            assert calls == {"build": 0, "solve": 0}
+            assert again == classes
 
     def test_same_answers_as_the_python_kernel(self, monkeypatch):
         classes, solution, separator, linking = four_questions(csr_sized_system())
@@ -520,12 +525,20 @@ class TestOneSolvePerSets:
         sys_ = csr_sized_system()
         tails, heads = (a.copy() for a in sys_._edge_arrays)
         graph = flow.StateGraph(range(1, sys_.n + 1), tails, heads)
+        # a path-only question builds no network over the whole graph, a
+        # labelling question builds one; neither is kept, nor the graph's
+        # edge index
         for _ in range(2):
             size, calls = self.builds_and_solves(
                 flow.max_linking_size, graph, sys_.available, sys_.targets)
             assert size == len(sys_.targets)
+            assert calls == {"build": 0, "solve": 1}
+            separator, calls = self.builds_and_solves(
+                flow.minimal_left_separator, graph, sys_.available,
+                sys_.targets)
+            assert len(separator) == size
             assert calls == {"build": 1, "solve": 1}
-            assert graph._last_solved is None
+            assert graph._last_solved is None and graph._index is None
 
     def test_small_systems_keep_no_network(self):
         rng = random.Random(17)
@@ -553,33 +566,48 @@ class TestOneSolvePerSets:
         assert classify_nodes(clone) == classify_nodes(sys_)
 
     def test_two_threads_alternating_sets(self):
-        # one thread asks for the separator on the system's own sets, the
-        # other checks another steering set, so each evicts the other's
-        # network; both must see the answers of serial calls
+        # one thread alternates the separator and the classification on the
+        # system's own sets, which keep their network, while the other
+        # alternates checks on two other steering sets, which solve
+        # sub-networks and keep nothing; the first to ask builds the graph's
+        # edge index.  On a short switch interval every answer must be a
+        # serial call's, and the network kept at the end the own sets'.
         sys_ = csr_sized_system()
-        steering = sys_.available[2:7]
 
-        def separator():
-            return flow.minimal_left_separator(sys_.state_adjacency(),
-                                               sys_.available, sys_.targets)
+        def separator(s):
+            return flow.minimal_left_separator(s.state_adjacency(),
+                                               s.available, s.targets)
 
-        def check():
-            return is_functional_target_controllable(sys_, steering)
+        def check(steering):
+            return lambda s: is_functional_target_controllable(s, steering)
 
-        serial = {question: question() for question in (separator, check)}
-        answers = {separator: [], check: []}
-        start = threading.Barrier(2)
+        askers = [[separator, classify_nodes],
+                  [check(sys_.available[2:7]), check(sys_.available[:3])]]
+        fresh = csr_sized_system()
+        serial = [[question(fresh) for question in questions]
+                  for questions in askers]
+        answers = [[] for _ in askers]
+        start = threading.Barrier(len(askers))
 
-        def ask(question):
+        def ask(k):
+            questions = askers[k]
             start.wait()
-            for _ in range(50):
-                answers[question].append(question())
+            for round_ in range(60):
+                answers[k].append(questions[round_ % len(questions)](sys_))
 
-        threads = [threading.Thread(target=ask, args=(question,))
-                   for question in (separator, check)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for question, expected in serial.items():
-            assert answers[question] == [expected] * 50
+        threads = [threading.Thread(target=ask, args=(k,))
+                   for k in range(len(askers))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, got in zip(serial, answers):
+            assert got == [expected[k % len(expected)] for k in range(60)]
+        graph = sys_.state_adjacency()
+        assert graph._last_solved[0] == fresh.state_adjacency()._last_solved[0]

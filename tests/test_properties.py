@@ -339,26 +339,41 @@ KERNELS = (flow._PyFlow, flow._CsrFlow)
 def count_networks(mp, calls, n):
     """Count, through the MonkeyPatch ``mp``, the networks built over all
     ``n`` labels of a graph on either kernel in ``calls["build"]``, and the
-    solves of either kernel in ``calls["solve"]``.  The CSR kernel's solve
-    runs Dinic on networks over parts of the graph: one may be built there,
-    and nowhere else."""
+    solves in ``calls["solve"]``: each kernel's ``solve()``, and each
+    sub-network solve outside one, which answers a question that reads
+    only the flow's value and paths without a network over the whole graph.
+    The CSR kernel runs Dinic on networks over parts of the graph: one may
+    be built within a solve, and nowhere else."""
     solving = []
+
+    def counted_solve(solve):
+        def spy(*args, **kwargs):
+            calls["solve"] += not solving
+            solving.append(solve)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+        return spy
+
     for kernel in KERNELS:
         def counted_build(net, labels, *rest, build=kernel.__init__):
             assert len(labels) == n or solving
             calls["build"] += len(labels) == n
             build(net, labels, *rest)
 
-        def counted_solve(net, solve=kernel.solve):
-            calls["solve"] += 1
-            solving.append(net)
-            try:
-                solve(net)
-            finally:
-                solving.pop()
-
         mp.setattr(kernel, "__init__", counted_build)
-        mp.setattr(kernel, "solve", counted_solve)
+        mp.setattr(kernel, "solve", counted_solve(kernel.solve))
+    mp.setattr(flow, "_sub_solved", counted_solve(flow._sub_solved))
+
+
+def falls_back(graph, available, targets):
+    """Whether the CSR kernel's sub-network for these sets would reach half
+    the nodes, so that the whole network is solved instead."""
+    labels, sources, sinks, tails, heads = flow._flatten(graph, available,
+                                                         targets)
+    index = flow._edge_index(len(labels), tails, heads)
+    return flow._sub_solved(len(labels), sources, sinks, index) is None
 
 
 def nx_linking_size(adj, available, targets):
@@ -542,17 +557,18 @@ class TestOneNetwork:
     @staticmethod
     def builds_and_solves(op):
         """``op``, returning instead of its answer how often it read the
-        graph, built a Python network, solved a network and preprocessed a
-        graph."""
-        def run(*args):
+        graph, built a network over the whole graph, solved (see
+        ``count_networks``), ran Dinic and preprocessed a graph."""
+        def run(graph, *args):
             calls = {"read": 0, "build": 0, "solve": 0, "preprocess": 0}
             with pytest.MonkeyPatch.context() as mp:
+                count_networks(mp, calls, len(graph))
                 for key, name in (("read", "_flatten"),
-                                  ("build", "_build_arrays"), ("solve", "_solve"),
-                                  ("solve", "maximum_flow"),
                                   ("preprocess", "preprocess_direct")):
                     mp.setattr(flow, name, counted(getattr(flow, name), calls, key))
-                op(*args)
+                runs, _ = dinic_runs(mp)
+                op(graph, *args)
+            calls["dinic"] = len(runs)
             return calls
         return run
 
@@ -560,16 +576,30 @@ class TestOneNetwork:
                                     minimal_left_separator,
                                     essential_start_analysis])
     def test_one_build_and_one_solve_per_call(self, op, steering_system):
+        # a labelling question builds the whole network; one that reads
+        # only the flow's value and paths builds it only when the CSR
+        # kernel's sub-network would reach half the graph.  The funnels are
+        # CSR-sized and regrow their sub-network: more than one Dinic run is
+        # still one solve.
         rng = random.Random(16)
         cases = [(steering_system.state_adjacency(), (1, 2, 3, 4), (8, 9)),
-                 ({1: (), 2: ()}, (1,), (2,)), ({1: ()}, (1,), (1,))]
+                 ({1: (), 2: ()}, (1,), (2,)), ({1: ()}, (1,), (1,)),
+                 funnel(False), funnel(True)]
         for _ in range(10):
             sys_ = random_system(rng, max_n=12, max_available=6, max_targets=4)
             cases.append((sys_.state_adjacency(), sys_.available, sys_.targets))
+        paths_only = op in (max_linking_size, maximum_linking)
+        builds = set()
         for case in cases:
             py, csr = both_kernels(self.builds_and_solves(op), *case)
-            assert py == {"read": 1, "build": 1, "solve": 1, "preprocess": 0}
-            assert csr == {"read": 1, "build": 0, "solve": 1, "preprocess": 0}
+            assert py == {"read": 1, "build": 1, "solve": 1, "preprocess": 0,
+                          "dinic": 0}
+            build = int(not paths_only or falls_back(*case))
+            builds.add(build)
+            assert csr == {"read": 1, "build": build, "solve": 1,
+                           "preprocess": 0, "dinic": csr["dinic"]}
+            assert csr["dinic"] >= 1 + (len(case[0]) > 1000)
+        assert builds == ({0, 1} if paths_only else {1})
 
     @given(trimming_cases())
     @settings(max_examples=100, deadline=None)
@@ -897,7 +927,8 @@ def dinic_runs(monkeypatch):
     many labels the network has, and one that records, for each residual
     graph built, its network's labels and whether it is reversed."""
     runs, residuals = [], []
-    dinic, residual = flow._CsrFlow._dinic, flow._CsrFlow._residual
+    kernel = KERNELS[1]
+    dinic, residual = kernel._dinic, kernel._residual
 
     def counted_dinic(net):
         runs.append(len(net.labels))
@@ -907,8 +938,8 @@ def dinic_runs(monkeypatch):
         residuals.append((len(net.labels), backward))
         return residual(net, backward, open_sources)
 
-    monkeypatch.setattr(flow._CsrFlow, "_dinic", counted_dinic)
-    monkeypatch.setattr(flow._CsrFlow, "_residual", counted_residual)
+    monkeypatch.setattr(kernel, "_dinic", counted_dinic)
+    monkeypatch.setattr(kernel, "_residual", counted_residual)
     return runs, residuals
 
 
@@ -966,14 +997,17 @@ class TestSubNetworkSolve:
         runs.clear()
         assert max_linking_size(graph, available, targets) == ref.value
         solved = list(runs)
+        runs.clear()
         assert minimal_left_separator(graph, available, targets) == ref.separator()
         value, essential, _ = essential_start_analysis(graph, available, targets)
         assert (value, essential) == (ref.value, ref.essential())
         linking = maximum_linking(graph, available, targets)
         assert linking.size == ref.value
         assert_valid_linking(linking, graph, available, targets)
-        # a StateGraph keeps the network for the next three questions
-        assert runs == solved or not isinstance(graph, flow.StateGraph)
+        # a StateGraph keeps the network of the size question only if that
+        # is the whole one, and the separator's for the next two questions
+        if isinstance(graph, flow.StateGraph):
+            assert runs == ([] if solved[-1] == len(graph) else solved)
         return solved
 
     def test_random_sets_on_one_graph(self, monkeypatch):
@@ -1025,3 +1059,76 @@ class TestSubNetworkSolve:
         assert [backward for size, backward in residuals
                 if size == runs[-1]] == ([True, False] if reverse else [True])
         self.check(adj, available, targets, runs)
+
+    def test_question_sequences(self, monkeypatch):
+        # random sequences of questions on a few (A, T) per graph, so that a
+        # path-only question (size, linking) meets the network kept by a
+        # labelling one (separator, essential set) on its own sets, on
+        # other sets, or none: three StateGraphs over read-only arrays, one
+        # over writable arrays and a dict, none of which may keep anything
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        runs, _ = dinic_runs(monkeypatch)
+        rng = random.Random(43)
+        seen = {"regrown": 0, "sub": 0, "whole": 0, "kept": 0, "from_sink": 0,
+                "from_source": 0, "shared": 0, "negative": 0, "self_loops": 0}
+        graphs = []
+        for n, per_node in ((1500, 1.0), (1500, 1.5), (600, 3.0), (800, 1.2),
+                            (700, 1.5)):
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(int(per_node * n))}
+            edges |= {(v, v) for v in rng.sample(range(1, n + 1), n // 20)}
+            graph = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
+            graphs.append((graph, edges))
+        writable, plain = graphs[3][0], graphs[4][0]
+        graphs[3] = (flow.StateGraph(writable.labels, writable.tails.copy(),
+                                     writable.heads.copy()), graphs[3][1])
+        graphs[4] = (dict(plain), graphs[4][1])
+        questions = (max_linking_size, maximum_linking, minimal_left_separator,
+                     essential_start_analysis)
+        for keeps, (graph, edges) in zip([True] * 3 + [False] * 2, graphs):
+            n, has_in = len(graph), {v for _, v in edges}
+            pool = []
+            for _ in range(6):
+                available = rng.sample(range(1, n + 1), rng.randint(1, 12))
+                targets = rng.sample(range(1, n + 1), rng.randint(1, 12))
+                if rng.random() < 0.3:
+                    targets += rng.sample(available, 1)
+                if rng.random() < 0.3:
+                    targets.append(rng.choice(sorted(set(range(1, n + 1))
+                                                     - has_in)))
+                available, targets = tuple(available), tuple(sorted(set(targets)))
+                pool.append((available, targets,
+                             whole_network(graph, available, targets)))
+            for _ in range(60):
+                available, targets, ref = rng.choice(pool)
+                question = rng.choice(questions)
+                runs.clear()
+                answer = question(graph, available, targets)
+                if question is minimal_left_separator:
+                    assert answer == ref.separator()
+                    continue
+                if question is essential_start_analysis:
+                    assert answer[:2] == (ref.value, ref.essential())
+                    continue
+                value = answer if question is max_linking_size else answer.size
+                assert value == ref.value == nx_linking_size(graph, available,
+                                                             targets)
+                seen["kept"] += not runs
+                if runs:
+                    seen["regrown"] += len(runs) > 1
+                    seen["sub" if runs[-1] < n else "whole"] += 1
+                seen["from_sink" if len(targets) < len(available)
+                     else "from_source"] += 1
+                seen["shared"] += bool(set(available) & set(targets))
+                seen["negative"] += value < min(len(available), len(targets))
+                if question is maximum_linking:
+                    assert_valid_linking(answer, graph, available, targets)
+                    fresh = (flow.StateGraph(graph.labels, graph.tails,
+                                             graph.heads)
+                             if isinstance(graph, flow.StateGraph) else graph)
+                    assert answer == maximum_linking(fresh, available, targets)
+                    seen["self_loops"] += any((v, v) in edges for path in
+                                              answer.paths for v in path)
+            kept = getattr(graph, "_last_solved", None)
+            assert (kept is not None) == keeps
+        assert min(seen.values()) >= 5, seen
