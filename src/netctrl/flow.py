@@ -887,21 +887,24 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
 
 def _edge_index(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
     """The successors and the predecessors of the graph on ``n`` nodes with
-    the edges ``tails[k] -> heads[k]``, sorted by tail, then head, as two CSR
-    arrays over positions, each row ascending: the first over the edge arrays
-    themselves, the second its transpose, scipy's counting sort."""
+    the edges ``tails[k] -> heads[k]``, sorted by tail, then head, each as
+    the (indptr, indices) of a CSR array over positions, rows ascending:
+    ``heads`` itself, and its transpose by scipy's counting sort."""
     _load_scipy()
-    forward = csr_array((np.ones(len(heads), dtype=np.int8), heads,
-                         _below(tails, n)), shape=(n, n))
-    return forward, csr_array(forward.T)
+    starts = _below(tails, n)
+    backward = csr_array((np.ones(len(heads), dtype=np.int8), heads, starts),
+                         shape=(n, n)).T.tocsr()
+    return (starts, heads), (backward.indptr, backward.indices)
 
 
-def _neighbours(graph: csr_array, nodes: np.ndarray) -> tuple:
-    """The entries of ``graph`` in the rows ``nodes``, as (row, column)."""
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
+def _neighbours(index: tuple, nodes: np.ndarray) -> tuple:
+    """The entries of the CSR ``index`` in the rows ``nodes``, as (row,
+    column)."""
+    indptr, indices = index
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
     at = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return np.repeat(nodes, counts), graph.indices[at + np.arange(len(at))]
+    return np.repeat(nodes, counts), indices[at + np.arange(len(at))]
 
 
 def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
