@@ -983,6 +983,30 @@ def funnel(reverse):
     return (adj, targets, available) if reverse else (adj, available, targets)
 
 
+def random_graph(rng, n, per_node):
+    """A StateGraph on 1..n over about ``per_node`` random edges per node,
+    with self-loops on 5 % of the nodes, and its edges."""
+    edges = {(rng.randint(1, n), rng.randint(1, n))
+             for _ in range(int(per_node * n))}
+    edges |= {(v, v) for v in rng.sample(range(1, n + 1), n // 20)}
+    graph = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
+    return graph, edges
+
+
+def random_sets(rng, n, edges):
+    """Up to 12 available nodes and targets on 1..n; about 3 in 10 times
+    the targets take an available node, and about 3 in 10 a node with no
+    in-edge, so that no flow reaches it."""
+    available = rng.sample(range(1, n + 1), rng.randint(1, 12))
+    targets = rng.sample(range(1, n + 1), rng.randint(1, 12))
+    if rng.random() < 0.3:
+        targets += rng.sample(available, 1)
+    if rng.random() < 0.3:
+        targets.append(rng.choice(sorted(set(range(1, n + 1))
+                                         - {v for _, v in edges})))
+    return available, sorted(set(targets))
+
+
 class TestSubNetworkSolve:
     """The CSR kernel runs Dinic on a sub-network around A and T and grows
     it until a cut proves its flow maximum on the whole network: every value,
@@ -1017,20 +1041,9 @@ class TestSubNetworkSolve:
         seen = {"regrown": 0, "sub": 0, "whole": 0, "from_sink": 0,
                 "from_source": 0, "shared": 0, "negative": 0, "self_loops": 0}
         for n, per_node in ((1500, 1.0), (1500, 1.5), (600, 3.0)):
-            edges = {(rng.randint(1, n), rng.randint(1, n))
-                     for _ in range(int(per_node * n))}
-            edges |= {(v, v) for v in rng.sample(range(1, n + 1), n // 20)}
-            graph = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
-            has_in = {v for _, v in edges}
+            graph, edges = random_graph(rng, n, per_node)
             for _ in range(30):
-                available = rng.sample(range(1, n + 1), rng.randint(1, 12))
-                targets = rng.sample(range(1, n + 1), rng.randint(1, 12))
-                if rng.random() < 0.3:
-                    targets += rng.sample(available, 1)
-                if rng.random() < 0.3:
-                    targets.append(rng.choice(sorted(set(range(1, n + 1))
-                                                     - has_in)))
-                targets = sorted(set(targets))
+                available, targets = random_sets(rng, n, edges)
                 solved = self.check(graph, available, targets, runs)
                 seen["regrown"] += len(solved) > 1
                 seen["sub" if solved[-1] < n else "whole"] += 1
@@ -1064,21 +1077,16 @@ class TestSubNetworkSolve:
         # random sequences of questions on a few (A, T) per graph, so that a
         # path-only question (size, linking) meets the network kept by a
         # labelling one (separator, essential set) on its own sets, on
-        # other sets, or none: three StateGraphs over read-only arrays, one
-        # over writable arrays and a dict, none of which may keep anything
+        # other sets, or none: three StateGraphs over read-only arrays, and
+        # one over writable arrays and a dict, which may keep nothing
         monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
         runs, _ = dinic_runs(monkeypatch)
         rng = random.Random(43)
         seen = {"regrown": 0, "sub": 0, "whole": 0, "kept": 0, "from_sink": 0,
                 "from_source": 0, "shared": 0, "negative": 0, "self_loops": 0}
-        graphs = []
-        for n, per_node in ((1500, 1.0), (1500, 1.5), (600, 3.0), (800, 1.2),
-                            (700, 1.5)):
-            edges = {(rng.randint(1, n), rng.randint(1, n))
-                     for _ in range(int(per_node * n))}
-            edges |= {(v, v) for v in rng.sample(range(1, n + 1), n // 20)}
-            graph = StructuredSystem(n=n, state_edges=tuple(edges)).state_adjacency()
-            graphs.append((graph, edges))
+        graphs = [random_graph(rng, n, per_node) for n, per_node in
+                  ((1500, 1.0), (1500, 1.5), (600, 3.0), (800, 1.2),
+                   (700, 1.5))]
         writable, plain = graphs[3][0], graphs[4][0]
         graphs[3] = (flow.StateGraph(writable.labels, writable.tails.copy(),
                                      writable.heads.copy()), graphs[3][1])
@@ -1086,17 +1094,9 @@ class TestSubNetworkSolve:
         questions = (max_linking_size, maximum_linking, minimal_left_separator,
                      essential_start_analysis)
         for keeps, (graph, edges) in zip([True] * 3 + [False] * 2, graphs):
-            n, has_in = len(graph), {v for _, v in edges}
-            pool = []
+            n, pool = len(graph), []
             for _ in range(6):
-                available = rng.sample(range(1, n + 1), rng.randint(1, 12))
-                targets = rng.sample(range(1, n + 1), rng.randint(1, 12))
-                if rng.random() < 0.3:
-                    targets += rng.sample(available, 1)
-                if rng.random() < 0.3:
-                    targets.append(rng.choice(sorted(set(range(1, n + 1))
-                                                     - has_in)))
-                available, targets = tuple(available), tuple(sorted(set(targets)))
+                available, targets = random_sets(rng, n, edges)
                 pool.append((available, targets,
                              whole_network(graph, available, targets)))
             for _ in range(60):
