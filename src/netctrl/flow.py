@@ -916,7 +916,7 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
     within W.  F grows forward from A along the successors of ``index``
     (:func:`_edge_index`) and B backward from T along its predecessors, a
     level at a time, the smaller while it can, until they share
-    2 min(|A|, |T|) nodes.  The flow is maximum on the whole network if (1)
+    4 min(|A|, |T|) nodes.  The flow is maximum on the whole network if (1)
     its value is min(|A|, |T|), (2) the residual search from t reaches no
     entry half of a node with a predecessor outside W, (3) the one from s no
     exit half of a node with a successor outside W, or (4) neither ball can
@@ -926,10 +926,14 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
     would enter the t-side set, or leave the s-side set, by a forward edge
     arc u+ -> v- into or out of W."""
     fronts = [sources, sinks]
-    balls = [np.bincount(front, minlength=n) > 0 for front in fronts]
+    balls = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]
+    balls[0][sources] = balls[1][sinks] = True
+    at = np.empty(n, dtype=np.int64)  # positions in W, set for W's nodes
     sizes = [len(front) for front in fronts]
     covered, bound = int(np.count_nonzero(balls[0] | balls[1])), min(sizes)
-    to_share, to_cover = 2 * bound, 0
+    # a regrow pays a wasted attempt and a W two to three times as large,
+    # so the first W is large enough that few questions need one
+    to_share, to_cover = 4 * bound, 0
     while True:
         while ((len(fronts[0]) or len(fronts[1])) and 2 * covered < n and
                (sum(sizes) - covered < to_share or covered < to_cover)):
@@ -944,7 +948,8 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
         if 2 * covered >= n:
             return None
         inside = balls[0] | balls[1]
-        within, at = np.flatnonzero(inside), np.cumsum(inside) - 1
+        within = np.flatnonzero(inside)
+        at[within] = np.arange(len(within))
         tails, heads = _neighbours(index[0], within)
         kept = inside[heads]
         sub = _CsrFlow(within, at[sources], at[sinks], at[tails[kept]],
@@ -952,7 +957,9 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
         sub._dinic()
         if sub.value == bound or not (len(fronts[0]) or len(fronts[1])):
             return sub, within
-        into, outer = _neighbours(index[1], within)
+        # B holds every predecessor of its nodes but its last front's
+        into, outer = _neighbours(index[1], np.concatenate(
+            [within[~balls[1][within]], fronts[1]]))
         entered, left = at[into[~inside[outer]]], at[tails[~kept]]
         if (not _reached(sub._residual(True), sub.sink)[2 * entered].any()
                 or not _reached(sub._residual(False), sub.source)[

@@ -955,9 +955,9 @@ def funnel(reverse):
     """A graph, available set and targets on which the first sub-network's
     flow is not maximum, and a regrown one's is proved so by a cut.
 
-    a1 -> p1..p5 -> t1 is short and a2 -> q1..q200 -> t2 long, so the balls
-    share six nodes of the short path long before they cover the long one,
-    and the first flow is 1.  a3 starts a path of 1000 nodes that reaches no
+    a1 -> p1..p11 -> t1 is short and a2 -> q1..q200 -> t2 long, so the balls
+    share twelve nodes of the short path long before they cover the long
+    one, and the first flow is 1.  a3 starts a path of 1000 nodes that reaches no
     target, and t3's one predecessor z has none, so no flow exceeds 2 while
     min(|A|, |T|) = 3, and F grows along a3's path without end.  Once B holds
     the whole long path it can grow no further, and the residual search from
@@ -967,10 +967,10 @@ def funnel(reverse):
     With ``reverse`` every edge is reversed and A and T swap places: the cut
     near A proves it (rule 3)."""
     names = (["a1", "a2", "a3", "t1", "t2", "t3", "z"]
-             + [f"p{k}" for k in range(1, 6)] + [f"q{k}" for k in range(1, 201)]
+             + [f"p{k}" for k in range(1, 12)] + [f"q{k}" for k in range(1, 201)]
              + [f"r{k}" for k in range(1, 1001)])
     at = {name: k for k, name in enumerate(names)}
-    chains = (["a1"] + [f"p{k}" for k in range(1, 6)] + ["t1"],
+    chains = (["a1"] + [f"p{k}" for k in range(1, 12)] + ["t1"],
               ["a2"] + [f"q{k}" for k in range(1, 201)] + ["t2"],
               ["a3"] + [f"r{k}" for k in range(1, 1001)], ["z", "t3"])
     edges = [(at[u], at[v]) for chain in chains for u, v in zip(chain, chain[1:])]
@@ -1042,7 +1042,7 @@ class TestSubNetworkSolve:
                 "from_source": 0, "shared": 0, "negative": 0, "self_loops": 0}
         for n, per_node in ((1500, 1.0), (1500, 1.5), (600, 3.0)):
             graph, edges = random_graph(rng, n, per_node)
-            for _ in range(30):
+            for _ in range(40):
                 available, targets = random_sets(rng, n, edges)
                 solved = self.check(graph, available, targets, runs)
                 seen["regrown"] += len(solved) > 1
