@@ -23,18 +23,22 @@ open.  The lower-level functions build the linking network instead, over
 ``preprocess_direct``'s graph with source arcs at |T| + 1: no finite cut of
 it crosses an edge into A or out of T, so both have the same minimum cuts.
 
-One solved network answers all four questions, so it is kept for the next:
-a StateGraph over read-only edge arrays, such as a system's
-``state_adjacency()``, holds the last CSR-sized network solved over it,
-keyed by the positions of A and T, until a labelling question (separator,
-essential set, reaching T) on other sets replaces it (:func:`_solved`).  A
-question on the linking's size or paths alone that misses it is answered
-off the CSR kernel's sub-network (below), builds no network over the whole
-graph and leaves the kept one.  Only one is held, so a graph keeps at most
-one network however many sets it is asked about, and only a CSR-sized one:
-the Python kernel solves a small network in 10-100 us, while a batch of
-small systems would each hold theirs.  A dict, or a StateGraph over
-writable arrays, which may change under it, keeps none.
+On the CSR kernel (below) a maximum flow is at most |T| vertex-disjoint
+paths, held as their nodes (:class:`_NodeFlow`).  A node that no path uses
+has an open split arc and no arc carrying flow, so a residual search reaches
+its entry half exactly when it reaches its exit half.  Each labelling is
+then one breadth-first search on the node graph: the graph's kept successor
+index with the path nodes' rows changed, plus an exit half per path node
+and s.  Reaching T ignores the flow: one search over the predecessors.
+
+One flow answers all four questions, so a StateGraph over read-only edge
+arrays, such as a system's ``state_adjacency()``, keeps the last CSR-sized
+one, keyed by the positions of A and T (:func:`_solved`).  A labelling
+question (separator, essential set) replaces it; a question on the
+linking's size or paths alone keeps its flow only if none is kept, so
+checks on other sets do not evict the system's own.  The Python kernel
+solves a small network in 10-100 us, so small flows are not kept; a dict,
+or a StateGraph over writable arrays, which may change, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -57,19 +61,17 @@ Two kernels solve the network, and :func:`_network` picks one from the
 number of split and edge arcs.  Small networks go through the pure-Python
 augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
 question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
-example.  Networks with at least ``CSR_MIN_ARCS`` split and edge arcs are
-laid out as CSR arrays and solved by scipy's Dinic
-(``scipy.sparse.csgraph.maximum_flow``), which costs about 0.2 ms per call
-however small the network.  It runs on the sub-network over balls grown
-from A and T, along the graph's successors and a predecessor index kept
-with it, until the flow's value, a residual cut or balls that cannot grow
-prove the flow maximum on the whole network (:func:`_sub_solved`), and
-from the smaller terminal set: with fewer targets than sources it solves
-the reversed network from the sink.  Its flow is then mapped once
-onto the network's own arcs, as a 0/1 array in the layout that the greedy
-holds its flow in, and every residual graph and flow path is read off that
-array.  Both kernels return the same flow value, separator and essential
-set; the linkings they return are both maximum but may differ.
+example.  From ``CSR_MIN_ARCS`` split and edge arcs on, scipy's Dinic
+(``scipy.sparse.csgraph.maximum_flow``, about 0.2 ms per call however small
+the network) solves the sub-network over balls grown from A and T, along the
+graph's successors and predecessors, until the flow's value, a residual cut
+or balls that cannot grow prove its flow maximum (:func:`_sub_solved`).  It
+runs from the smaller terminal set: with fewer targets than sources, on the
+reversed network from the sink.  A network over the whole graph
+(:class:`_CsrFlow`, CSR arrays with a 0/1 flow on their arcs) is built only
+when the sub-network would reach half the nodes, and for the greedy.  Both
+kernels return the same flow value, separator and essential set; the
+linkings they return are both maximum but may differ.
 
 A maximum bipartite matching is a linking from the columns into the rows
 (:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
@@ -109,9 +111,8 @@ class PreconditionError(NetctrlError, RuntimeError):
     """A caller-supplied object violates an operation's precondition."""
 
 
-# scipy's functions of the CSR kernel, by module: imported into this module
-# by _load_scipy() when the first CSR-sized network, search or matching needs
-# them, so that a process asking only small questions never imports scipy
+# scipy's functions of the CSR kernel, by module, which _load_scipy() imports
+# when the first CSR-sized network, search or matching needs them
 _SCIPY = {"csr_array": "scipy.sparse",
           "breadth_first_order": "scipy.sparse.csgraph",
           "maximum_bipartite_matching": "scipy.sparse.csgraph",
@@ -146,9 +147,7 @@ class AuxiliaryGraph:
     are stored as parallel arrays over directed arc ids where arc ``2e`` is the
     forward direction of edge e and ``2e+1`` its residual reverse.  Capacities
     are 1 on split edges and ``infinite_capacity`` (a sentinel strictly larger
-    than any feasible flow) elsewhere.
-
-    Immutable after construction; max_flow works on private copies.
+    than any feasible flow) elsewhere.  max_flow works on private copies.
     """
 
     labels: tuple                      # original node labels, ascending
@@ -187,21 +186,15 @@ class AuxiliaryGraph:
 
     def edges(self) -> list[tuple[Node, Node, int]]:
         """Forward edges as (tail label, head label, capacity) triples."""
-        out = []
-        for e in range(self.edge_count):
-            tail = self.node_label(self._head[2 * e + 1])
-            head = self.node_label(self._head[2 * e])
-            out.append((tail, head, self._cap[2 * e]))
-        return out
+        return [(self.node_label(self._head[2 * e + 1]),
+                 self.node_label(self._head[2 * e]), self._cap[2 * e])
+                for e in range(self.edge_count)]
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Integral feasible s-t flow on an AuxiliaryGraph.
-
-    ``edge_flow[e]`` is the flow on forward edge e (same order as
-    ``AuxiliaryGraph.edges()``); ``value`` is the total flow out of the source.
-    """
+    """Integral feasible s-t flow on an AuxiliaryGraph: ``edge_flow[e]`` on
+    forward edge e (as in ``AuxiliaryGraph.edges()``), ``value`` out of s."""
 
     value: int
     edge_flow: tuple
@@ -209,11 +202,8 @@ class Flow:
 
 @dataclass(frozen=True)
 class Linking:
-    """Vertex-disjoint simple direct paths from an available to a target set.
-
-    Each path is a tuple of original node labels; a node both available and
-    targeted may form a length-0 path ``(v,)``.
-    """
+    """Vertex-disjoint simple direct paths from an available to a target
+    set, as tuples of node labels; a node in both may be a path ``(v,)``."""
 
     paths: tuple
 
@@ -248,16 +238,12 @@ class StateGraph(Mapping):
         self.labels = labels
         self.tails = tails
         self.heads = heads
-        # built on first lookup and set in one assignment, so that a lookup
-        # in another thread sees all of it or none: (_indexer's function,
-        # per node its first edge)
+        # (_indexer's function, per node its first edge), built on first
+        # lookup and set in one assignment, which a thread sees whole or not
         self._lookup = None
-        # _edge_index's successors and predecessors, for graphs over
-        # read-only edge arrays: built on first use, set as _lookup is
-        self._index = None
-        # (key, network) of the last CSR-sized network solved over read-only
-        # edge arrays, or None: see _solved
-        self._last_solved = None
+        # over read-only arrays: _edge_index, set as _lookup is, and the
+        # (key, _NodeFlow) kept by _solved
+        self._index = self._last_solved = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -308,13 +294,11 @@ def preprocess_direct(
 
 def _flatten(graph: Mapping[Node, Sequence[Node]], available: Iterable[Node],
              targets: Iterable[Node]):
-    """The one reading of a graph and its A/T sets that every network is
-    built from: the labels ascending (a range for a StateGraph), the
-    ascending distinct positions of A and of T, and the distinct edges as
-    (tail, head) position arrays ordered by tail, then head.  A and T are
-    checked before the edges; a node that is not a label raises ValueError.
-    A StateGraph hands over its own edge arrays; a successor dict is sorted
-    and indexed here, and a successor it lists twice is one edge."""
+    """The one reading of a graph and its A/T sets (see the module
+    docstring): the labels, a range for a StateGraph, the positions of A
+    and of T, and the edges' (tail, head) position arrays.  A and T are
+    checked first; a node that is not a label raises ValueError.  A
+    successor that a dict lists twice is one edge."""
     labels = graph.labels if isinstance(graph, StateGraph) else sorted(graph)
     position = _indexer(labels)
     n = len(labels)
@@ -333,11 +317,10 @@ def _flatten(graph: Mapping[Node, Sequence[Node]], available: Iterable[Node],
 
 def _indexer(labels):
     """A function from a node to its position in the ascending ``labels``,
-    raising KeyError for a node that is not a label.  In a range the
-    position is found by subtraction from any node other than a bool that
-    ``operator.index`` takes; in other labels through a dict, which would
-    also find a label for a bool or a float equal to it, so the label found
-    is checked to be of the node's kind."""
+    raising KeyError for a node that is not a label: by subtraction in a
+    range, for any node but a bool that ``operator.index`` takes, and else
+    through a dict, checking that the label found is of the node's kind
+    (the dict also finds a label for an equal bool or float)."""
     if not isinstance(labels, range):
         index = {lab: k for k, lab in enumerate(labels)}
 
@@ -387,18 +370,12 @@ def _labels_at(labels, pos: np.ndarray) -> list:
 def _build_arrays(n: int, sources, sinks, tails, heads, inf_cap: int,
                   source_cap: int):
     """Arc lists of the split network over ``n`` labels, from the position
-    arrays of :func:`_flatten`.
-
-    Arc 2e is the forward direction of edge e, arc 2e+1 its zero-capacity
-    reverse.  Construction order (splits, graph edges by tail then head,
-    source arcs, sink arcs, each ascending) fixes the BFS tie-break
-    deterministically.
-    """
-    n_aux = 2 * n + 2
-    s_id = n_aux - 2
-    t_id = n_aux - 1
-
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_aux)]
+    arrays of :func:`_flatten`: arc 2e is the forward direction of edge e,
+    arc 2e+1 its zero-capacity reverse.  Construction order (splits, graph
+    edges by tail then head, source arcs, sink arcs) fixes the BFS
+    tie-break."""
+    s_id, t_id = 2 * n, 2 * n + 1
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 2)]
     head: list[int] = []
     cap: list[int] = []
     happend = head.append
@@ -434,8 +411,7 @@ def build_auxiliary_graph(
     The graph is normally preprocessed with :func:`preprocess_direct` first so
     that extracted flow paths are direct.  Node count is 2n+2 and forward edge
     count is n + |edges| + |A| + |T|.  The "infinite" capacity is the finite
-    sentinel |T| + 1, which exceeds any feasible flow value.  The graph is
-    read by :func:`_flatten`, so a successor listed twice is one edge.
+    sentinel |T| + 1, which exceeds any feasible flow value.
     """
     labels, sources, sinks, tails, heads = _flatten(graph, available, targets)
     inf_cap = len(sinks) + 1
@@ -443,15 +419,10 @@ def build_auxiliary_graph(
         len(labels), sources, sinks, tails, heads, inf_cap, inf_cap
     )
     return AuxiliaryGraph(
-        labels=tuple(labels),
-        available=tuple(_labels_at(labels, sources)),
-        targets=tuple(_labels_at(labels, sinks)),
-        infinite_capacity=inf_cap,
-        _adj=tuple(tuple(a) for a in adj),
-        _head=tuple(head),
-        _cap=tuple(cap),
-        _sink_arcs=tuple(sink_arcs),
-    )
+        labels=tuple(labels), available=tuple(_labels_at(labels, sources)),
+        targets=tuple(_labels_at(labels, sinks)), infinite_capacity=inf_cap,
+        _adj=tuple(tuple(a) for a in adj), _head=tuple(head), _cap=tuple(cap),
+        _sink_arcs=tuple(sink_arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +430,13 @@ def build_auxiliary_graph(
 # ---------------------------------------------------------------------------
 
 def _solve(adj, head, res, s_id, t_id, sink_arcs):
-    """Augment ``res`` (residual capacities, mutated) to a maximum flow.
+    """Augment ``res`` (residual capacities, mutated) to a maximum flow;
+    return its value and the final, exhausted search from the source.
 
-    Breadth-first augmenting-path search from the source; from each BFS tree
-    as many sink in-arcs as possible are harvested (every parent chain is
-    re-verified against current residuals, so each applied chain is a valid
-    augmenting path).  Harvesting only reduces the number of full BFS passes;
-    the final BFS doubles as the labelling pass, whose reachable set is
-    returned (it is the unique min-cut source set of the max flow).
-
-    Returns (flow value, visited array of the final exhausted BFS).
+    From each breadth-first search tree as many sink in-arcs as possible
+    are harvested, each parent chain re-verified against the current
+    residuals; this only saves passes.  The final search doubles as the
+    labelling pass: it reaches the unique min-cut source set.
     """
     value = 0
     while True:
@@ -499,12 +467,8 @@ def _solve(adj, head, res, s_id, t_id, sink_arcs):
 
 
 def max_flow(aux: AuxiliaryGraph) -> Flow:
-    """Compute an integral maximum s-t flow on an auxiliary graph.
-
-    Deterministic: the BFS visits arcs in the fixed construction order
-    (forward arcs ascending by head node), so identical inputs yield
-    identical flows.
-    """
+    """Compute an integral maximum s-t flow on an auxiliary graph;
+    deterministic, as the search visits arcs in construction order."""
     res = list(aux._cap)
     value, _ = _solve(aux._adj, aux._head, res, aux.source_id, aux.sink_id,
                       aux._sink_arcs)
@@ -530,11 +494,9 @@ def _search(adj, res, queue: list) -> list:
 
 
 def min_cut_source_set(aux: AuxiliaryGraph, flow: Flow) -> frozenset:
-    """Nodes reachable from s in the residual graph of a maximum flow.
-
-    This is the source set of the minimal cut closest to the source; it is
-    unique for a given network regardless of how the maximum flow was found.
-    Returned as public node names: ``"s"`` plus ``(label, "-"/"+")`` pairs.
+    """Nodes reachable from s in the residual graph of a maximum flow, as
+    ``"s"`` and ``(label, "-"/"+")`` pairs: the source set of the minimal
+    cut, the same for every maximum flow.
 
     Raises:
         PreconditionError: if ``flow`` is not maximum (the sink is reachable).
@@ -551,13 +513,9 @@ def min_cut_source_set(aux: AuxiliaryGraph, flow: Flow) -> frozenset:
 
 
 def _flow_paths(labels, head, edge_flow, s_id: int, t_id: int) -> list:
-    """The source-sink paths of an integral flow on a split network held as
-    arc lists (arc 2e is the forward direction of edge e, as
-    :func:`_build_arrays` builds them), each as the tuple of its labels.
-
-    Walks arcs with flow from the source, consuming it; unit split
-    capacities make every walk node-simple and terminating.
-    """
+    """The source-sink paths, as label tuples, of an integral flow on the
+    arc lists of :func:`_build_arrays`: walks along arcs with flow from the
+    source, consuming it; unit split arcs make each walk node-simple."""
     remaining = list(edge_flow)
     # forward-edge successor lists per aux node, in construction order
     out_edges: list[list[int]] = [[] for _ in range(2 * len(labels) + 2)]
@@ -638,9 +596,8 @@ class _PyFlow:
         return _flow_paths(self.labels, self.head, flow, self.source, self.sink)
 
     def reaches_target(self, nodes) -> list:
-        """The labels at the positions ``nodes`` that have a path to a
-        target: one backward search from t."""
-        # the reverse arcs alone are open: the graph's edges taken backwards
+        """The labels at the positions ``nodes`` with a path to a target:
+        a search from t along the reverse arcs alone, the edges backwards."""
         via = _search(self.adj, [0, 1] * (len(self.head) // 2), [self.sink])
         return [self.labels[k] for k in nodes if via[2 * k] != -1]
 
@@ -678,14 +635,12 @@ class _PyFlow:
 
 class _CsrFlow:
     """The network of the high-level operations (see the module docstring),
-    held as CSR arrays with its flow ``flow``: 0 or 1 on each arc, aligned
-    with ``capacity.data``, zero until :meth:`solve` maps the maximum flow of
-    scipy's Dinic onto it.  The greedy and every search and path read it.
+    held as CSR arrays with its flow ``flow``, 0 or 1 on each arc of
+    ``capacity.data``, zero until Dinic's flow is mapped onto it.
 
     Numbering as in AuxiliaryGraph: 2k and 2k+1 are the entry and exit
     halves of the k-th label, 2n the source and 2n+1 the sink.  Every row
-    holds its arcs ascending by head, the source's arcs come last, and every
-    arc's position, in the network or reversed, is found by :func:`_find`.
+    holds its arcs ascending by head, and :func:`_find` finds any arc.
     """
 
     def __init__(self, labels, sources, sinks, tails, heads):
@@ -723,13 +678,11 @@ class _CsrFlow:
         """The network with every arc reversed."""
         return csr_array(self.capacity.T)
 
-    def solve(self, index=None) -> None:
+    def solve(self) -> None:
         """Augment to a maximum flow: :func:`_sub_solved`'s, mapped onto
-        this network, or Dinic's on all of it if that gives up.  ``index`` is
-        the graph's :func:`_edge_index`, built here if not given."""
-        if index is None:
-            index = _edge_index(len(self.labels), *self.edges)
-        found = _sub_solved(len(self.labels), self.sources, self.sinks, index)
+        this network, or Dinic's on all of it if that gives up."""
+        found = _sub_solved(len(self.labels), self.sources, self.sinks,
+                            _edge_index(len(self.labels), *self.edges))
         if found is None:
             return self._dinic()
         sub, within = found
@@ -767,18 +720,12 @@ class _CsrFlow:
         return (arcs, np.searchsorted(indptr, arcs, side="right") - 1,
                 indices[arcs].astype(np.int64))
 
-    def _residual(self, backward: bool, open_sources: bool = False) -> csr_array:
-        """The residual graph of the flow as it is, with every arc reversed
-        if ``backward``, and with every source arc open if ``open_sources``
-        (the flow out of s left out): the network's arcs, or ``_reversed``'s,
-        less the few that the flow saturates, plus the few carrying flow,
-        reversed once more and taken into their rows in column order, since
-        the greedy follows its search's predecessors (a pair entered twice,
-        a self-looped node's halves, changes nothing)."""
+    def _residual(self, backward: bool) -> csr_array:
+        """The residual graph of the flow as it is, reversed if
+        ``backward``: the network's arcs, or ``_reversed``'s, less those the
+        flow saturates, plus those carrying flow reversed once more, in
+        column order, as the greedy follows its search's predecessors."""
         arcs, tails, heads = self._carrying()
-        if open_sources:
-            keep = tails != self.source
-            arcs, tails, heads = arcs[keep], tails[keep], heads[keep]
         full = self.flow[arcs] == self.capacity.data[arcs]
         graph, rows, cols = ((self._reversed, tails, heads) if backward
                              else (self.capacity, heads, tails))
@@ -790,20 +737,8 @@ class _CsrFlow:
                             at - np.searchsorted(dropped, at), cols)
         n = graph.shape[0]
         dropped_rows = np.searchsorted(graph.indptr, dropped, side="right") - 1
-        starts = graph.indptr + _below(rows, n) - _below(dropped_rows, n)
-        return csr_array((np.ones(len(indices)), indices, starts),
-                         shape=graph.shape)
-
-    def essential(self) -> frozenset:
-        mask = _reached(self._residual(backward=False), self.source)
-        return frozenset(_labels_at(self.labels,
-                                    self.sources[~mask[2 * self.sources]]))
-
-    def separator(self) -> frozenset:
-        mask = _reached(self._residual(backward=False, open_sources=True),
-                        self.source)
-        cut = mask[0:self.source:2] & ~mask[1:self.source:2]
-        return frozenset(_labels_at(self.labels, np.flatnonzero(cut)))
+        return _graph(graph.indptr + _below(rows, n) - _below(dropped_rows, n),
+                      indices)
 
     def paths(self) -> list:
         """The flow's paths.  Every split arc carries at most one unit, so
@@ -820,27 +755,17 @@ class _CsrFlow:
             paths.append(tuple(path))
         return paths
 
-    def reaches_target(self, nodes: np.ndarray) -> list:
-        """The labels at the positions ``nodes`` that have a path to a
-        target: one backward search from t."""
-        arcs = self._reversed
-        mask = _reached(csr_array((np.ones(arcs.nnz), arcs.indices,
-                                   arcs.indptr), shape=arcs.shape), self.sink)
-        return _labels_at(self.labels, nodes[mask[2 * nodes]])
-
     def to_sink(self) -> np.ndarray:
         """Per node, its next step on a residual path to the sink, negative
-        if it has none: a breadth-first search from t over the residual
-        graph reversed, built from the flow as it is."""
+        if it has none: a search from t over the residual graph reversed."""
         return breadth_first_order(self._residual(backward=True), self.sink,
                                    return_predecessors=True)[1]
 
     def push(self, v: int, hops: np.ndarray) -> None:
-        """Send one unit from node v to the sink along the path in ``hops``.
-        A step v -> w takes the arc v -> w if it has capacity left, and
-        otherwise cancels flow on w -> v: a node with a self-loop has arcs
-        both ways between its halves.  The path is node-simple, so no step
-        touches an arc that another has changed."""
+        """Send one unit from node v to the sink along the path in ``hops``:
+        a step v -> w takes the arc v -> w if it has capacity left, else
+        cancels flow on w -> v (a self-looped node has arcs both ways between
+        its halves).  The path is node-simple, so no two steps share an arc."""
         path = [v]
         while path[-1] != self.sink:
             path.append(int(hops[path[-1]]))
@@ -853,22 +778,86 @@ class _CsrFlow:
         self.flow[_find(cap, heads[~ahead], tails[~ahead])] -= 1
 
     def open_sources(self, entries: list) -> list:
-        """Open the source arc of each entry half in ``entries``, which the
-        flow already leaves with one unit each, so that it is an s-t flow
-        again; returns their labels."""
+        """As :meth:`_PyFlow.open_sources`."""
         entries = np.asarray(entries, dtype=np.int64)
         self.flow[_find(self.capacity, np.full(len(entries), self.source),
                         entries)] = 1
         return _labels_at(self.labels, entries // 2)
 
 
+class _NodeFlow:
+    """A maximum flow of the CSR kernel's network as its paths' nodes
+    ``on``, path by path from source arc to sink arc, each path starting at
+    a position of ``firsts``, with the graph's labels, A, T and
+    :func:`_edge_index`; its labellings search the node graph."""
+
+    def __init__(self, labels, sources, sinks, index, paths):
+        self.labels, self.sources, self.sinks = labels, sources, sinks
+        self.index, self.value = index, len(paths)
+        lengths = np.array([len(path) for path in paths], dtype=np.int64)
+        self.on = np.array([v for path in paths for v in path], dtype=np.int64)
+        self.firsts = np.cumsum(lengths) - lengths
+
+    def paths(self) -> list:
+        return [tuple(_labels_at(self.labels, walk))
+                for walk in np.split(self.on, self.firsts)[1:]]
+
+    def _labelled(self, open_sources: bool) -> np.ndarray:
+        """Mask of the node graph's nodes that the residual search from s
+        reaches, with every source arc open if ``open_sources``: per label
+        its node (a path node's entry half), the exit halves of ``on``, and
+        s.  A path node's own row repeats its arc back, to the exit half
+        before it or to s; its exit half's holds it and its successors."""
+        (indptr, indices), _ = self.index
+        n, on = len(indptr) - 1, self.on
+        s = n + len(on)
+        back = np.arange(n - 1, s - 1)
+        back[self.firsts] = s
+        fed = (self.sources if open_sources
+               else np.setdiff1d(self.sources, on[self.firsts]))
+        at, out = _entries(indptr, on)
+        exits = np.insert(indices[at], np.cumsum(out) - out, on)
+        order = np.argsort(on)
+        rows, back = on[order], back[order]
+        size = len(indices) + len(rows)
+        graph = _graph(np.concatenate([indptr + _below(rows, n),
+                                       size + np.cumsum(out + 1),
+                                       [size + len(exits) + len(fed)]],
+                                      dtype=np.int32),
+                       np.insert(indices, np.append(indptr[rows], np.full(
+                           len(exits) + len(fed), len(indices))),
+                                 np.concatenate([back, exits, fed])))
+        at, counts = _entries(graph.indptr, rows)
+        graph.indices[at] = np.repeat(back, counts)
+        return _reached(graph, s)
+
+    def essential(self) -> frozenset:
+        mask = self._labelled(open_sources=False)
+        return frozenset(_labels_at(self.labels,
+                                    self.sources[~mask[self.sources]]))
+
+    def separator(self) -> frozenset:
+        mask, n = self._labelled(open_sources=True), len(self.labels)
+        cut = mask[self.on] & ~mask[n:n + len(self.on)]
+        return frozenset(_labels_at(self.labels, self.on[cut]))
+
+    def reaches_target(self, nodes: np.ndarray) -> list:
+        """The labels at the positions ``nodes`` with a path to a target: a
+        search over the predecessors from a node n with an arc to each."""
+        indptr, indices = self.index[1]
+        n = len(indptr) - 1
+        mask = _reached(_graph(np.append(indptr, indptr[-1] + len(self.sinks)),
+                               np.concatenate([indices, self.sinks],
+                                              dtype=np.int32)), n)
+        return _labels_at(self.labels, nodes[mask[nodes]])
+
+
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
               starts: Sequence[int]) -> np.ndarray:
     """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
-    along the arcs ``tails[k] -> heads[k]``.  Below ``CSR_MIN_ARCS`` nodes
-    plus arcs this is :func:`_search` over successor lists; otherwise one
-    scipy breadth-first search from a virtual node n with an arc to every
-    start."""
+    along the arcs ``tails[k] -> heads[k]``: :func:`_search` below
+    ``CSR_MIN_ARCS`` nodes plus arcs, else scipy's search from a node n with
+    an arc to every start."""
     if n + len(tails) < CSR_MIN_ARCS:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
@@ -876,12 +865,9 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
         return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
     _load_scipy()
     starts = np.asarray(starts, dtype=np.int64)
-    graph = csr_array(
-        (np.ones(len(tails) + len(starts)),
-         (np.concatenate([tails, np.full(len(starts), n)]),
-          np.concatenate([heads, starts]))),
-        shape=(n + 1, n + 1),
-    )
+    graph = csr_array((np.ones(len(tails) + len(starts)),
+                       (np.concatenate([tails, np.full(len(starts), n)]),
+                        np.concatenate([heads, starts]))), shape=(n + 1, n + 1))
     return _reached(graph, n)[:n]
 
 
@@ -901,49 +887,65 @@ def _neighbours(index: tuple, nodes: np.ndarray) -> tuple:
     """The entries of the CSR ``index`` in the rows ``nodes``, as (row,
     column)."""
     indptr, indices = index
+    at, counts = _entries(indptr, nodes)
+    return np.repeat(nodes, counts), indices[at]
+
+
+def _entries(indptr: np.ndarray, nodes: np.ndarray) -> tuple:
+    """The positions of the entries in the rows ``nodes`` of a CSR array
+    with the row pointers ``indptr``, row by row, and each row's count."""
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
     at = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return np.repeat(nodes, counts), indices[at + np.arange(len(at))]
+    return at + np.arange(len(at)), counts
 
 
 def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
                 index: tuple) -> tuple | None:
     """A sub-network of the network over ``n`` nodes, solved by Dinic's,
     whose flow is maximum on the whole network, and its nodes' positions,
-    or None once it would hold half the nodes.  It is over W = F | B, with
-    both halves of each node of W, s, t and their arcs, and the edge arcs
-    within W.  F grows forward from A along the successors of ``index``
-    (:func:`_edge_index`) and B backward from T along its predecessors, a
-    level at a time, the smaller while it can, until they share
-    4 min(|A|, |T|) nodes.  The flow is maximum on the whole network if (1)
-    its value is min(|A|, |T|), (2) the residual search from t reaches no
-    entry half of a node with a predecessor outside W, (3) the one from s no
-    exit half of a node with a successor outside W, or (4) neither ball can
-    grow, so W holds every A-T path.  Else W grows to at least twice its
-    size.  (2) and (3) hold as every arc between two nodes of the
-    sub-network is in it and no other carries flow: an augmenting path here
-    would enter the t-side set, or leave the s-side set, by a forward edge
-    arc u+ -> v- into or out of W."""
+    or None once it would hold half the nodes.  It is over W = F | B: both
+    halves of each node of W, s, t, their arcs and the edge arcs within W.
+    F grows from A along the successors of ``index`` (:func:`_edge_index`)
+    and B from T along its predecessors, a level at a time, the smaller
+    while it can, until they share 4 min(|A|, |T|) nodes.  The flow is
+    maximum if (1) its value is min(|A|, |T|), (2) the residual search from
+    t reaches no entry half of a node with a predecessor outside W, (3) the
+    one from s no exit half of a node with a successor outside W, or (4)
+    neither ball can grow.  Else W grows to twice its size, and a level that
+    would take it further grows only in part.  (2) and (3) hold as no arc
+    out of the sub-network carries flow: an augmenting path would cross the
+    cut by an edge arc u+ -> v- into or out of W."""
     fronts = [sources, sinks]
     balls = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]
     balls[0][sources] = balls[1][sinks] = True
     at = np.empty(n, dtype=np.int64)  # positions in W, set for W's nodes
     sizes = [len(front) for front in fronts]
     covered, bound = int(np.count_nonzero(balls[0] | balls[1])), min(sizes)
-    # a regrow pays a wasted attempt and a W two to three times as large,
-    # so the first W is large enough that few questions need one
+    # a regrow pays a wasted attempt and a W twice as large, so the first W
+    # is large enough that few questions need one
     to_share, to_cover = 4 * bound, 0
     while True:
         while ((len(fronts[0]) or len(fronts[1])) and 2 * covered < n and
                (sum(sizes) - covered < to_share or covered < to_cover)):
             side = int(sizes[1] < sizes[0])
             side = side if len(fronts[side]) else 1 - side
-            nodes = np.sort(_neighbours(index[side], fronts[side])[1])
+            rows, nodes = _neighbours(index[side], fronts[side])
+            rest, need = fronts[side][:0], to_cover - covered
+            if to_cover:
+                # a regrow expands the front, ascending, only until W holds
+                # to_cover nodes; the rest of it stays in the front
+                found, first = np.unique(nodes, return_index=True)
+                first = np.sort(first[~balls[0][found] & ~balls[1][found]])
+                if len(first) > need:
+                    rest = fronts[side][fronts[side] > rows[first[need - 1]]]
+                    nodes = nodes[rows <= rows[first[need - 1]]]
+            nodes = np.sort(nodes)
             fresh = ~balls[side][nodes] & (np.diff(nodes, prepend=-1) > 0)
             new = nodes[fresh]
             balls[side][new] = True
-            fronts[side], sizes[side] = new, sizes[side] + len(new)
+            fronts[side] = np.union1d(rest, new) if len(rest) else new
+            sizes[side] += len(new)
             covered += int(np.count_nonzero(~balls[1 - side][new]))
         if 2 * covered >= n:
             return None
@@ -991,10 +993,18 @@ def _below(rows: np.ndarray, n: int) -> np.ndarray:
                      np.diff(rows, prepend=-1, append=n))
 
 
+def _graph(indptr: np.ndarray, indices: np.ndarray) -> csr_array:
+    """The square CSR array of unit arcs with these row pointers and
+    columns."""
+    return csr_array((np.ones(len(indices)), indices, indptr),
+                     shape=(len(indptr) - 1, len(indptr) - 1))
+
+
 def _reached(graph: csr_array, start: int) -> np.ndarray:
-    """Mask of the nodes of ``graph`` reachable from ``start``."""
-    mask = np.zeros(graph.shape[0], dtype=bool)
-    mask[breadth_first_order(graph, start, return_predecessors=False)] = True
+    """Mask of the nodes of ``graph`` reachable from ``start``: the start
+    and those with a predecessor, cheaper to read than the order."""
+    mask = breadth_first_order(graph, start, return_predecessors=True)[1] >= 0
+    mask[start] = True
     return mask
 
 
@@ -1003,29 +1013,26 @@ def _reached(graph: csr_array, start: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _network(labels, sources, sinks, tails, heads) -> _PyFlow | _CsrFlow:
-    """The network of the high-level operations (see the module docstring)
-    over :func:`_flatten`'s reading of a graph, with zero flow, on the
-    kernel that its size calls for."""
+    """The network of the high-level operations over :func:`_flatten`'s
+    reading of a graph, with zero flow, on the kernel its size calls for."""
     if len(labels) + len(tails) >= CSR_MIN_ARCS:
         return _CsrFlow(labels, sources, sinks, tails, heads)
     return _PyFlow(labels, sources, sinks, tails, heads)
 
 
 def _solved(graph, available, targets,
-            paths_only: bool = False) -> _PyFlow | _CsrFlow:
-    """That network with a maximum flow, never to be changed by the caller.
-
-    A StateGraph over read-only edge arrays keeps its :func:`_edge_index`
-    and the last CSR-sized network solved over it, keyed by the positions
-    of A and T, with its flow made read-only, and hands it back for the same
-    sets.  A question on the flow's value and paths alone (``paths_only``)
-    is answered off :func:`_sub_solved`'s sub-network, with its nodes'
-    labels, when that proves its flow maximum: no network is built over the
-    whole graph, and the kept one stays.  The graph is read, and its nodes
-    checked, every time."""
+            paths_only: bool = False) -> _PyFlow | _NodeFlow:
+    """That network's maximum flow, never to be changed by the caller: on
+    the CSR kernel a :class:`_NodeFlow`, from :func:`_sub_solved`, or from
+    Dinic's on the whole network if that gives up.  A StateGraph over
+    read-only arrays keeps its :func:`_edge_index` and one flow, keyed by
+    the positions of A and T: a labelling question replaces it, and one on
+    the flow's value and paths alone (``paths_only``) keeps its own only if
+    none is kept.  The graph is read, and its nodes checked, every time."""
     flat = _flatten(graph, available, targets)
     labels, sources, sinks, tails, heads = flat
-    if len(labels) + len(tails) < CSR_MIN_ARCS:
+    n = len(labels)
+    if n + len(tails) < CSR_MIN_ARCS:
         net = _PyFlow(*flat)
         net.solve()
         return net
@@ -1036,25 +1043,19 @@ def _solved(graph, available, targets,
         if last is not None and last[0] == key:
             return last[1]
         if graph._index is None:
-            graph._index = _edge_index(len(labels), tails, heads)
-    index = graph._index if kept else _edge_index(len(labels), tails, heads)
-    found = paths_only and _sub_solved(len(labels), sources, sinks, index)
-    if found:
-        found[0].labels = _labels_at(labels, found[1])
-        return found[0]
-    if kept:
-        # both references dropped, so the old network is freed before the
-        # new one is built
-        last = graph._last_solved = None
-    net = _CsrFlow(*flat)
-    if paths_only:
-        net._dinic()  # the sub-network reached half the nodes
+            graph._index = _edge_index(n, tails, heads)
+    index = graph._index if kept else _edge_index(n, tails, heads)
+    found = _sub_solved(n, sources, sinks, index)
+    if found is None:  # the sub-network reached half the nodes
+        net = _CsrFlow(range(n), sources, sinks, tails, heads)
+        net._dinic()
     else:
-        net.solve(index)
-    if kept:
-        net.flow.flags.writeable = False
-        graph._last_solved = (key, net)
-    return net
+        net, net.labels = found
+    # either network is labelled by positions, so its paths list positions
+    solved = _NodeFlow(labels, sources, sinks, index, net.paths())
+    if kept and not (paths_only and graph._last_solved is not None):
+        graph._last_solved = (key, solved)
+    return solved
 
 
 def max_linking_size(
@@ -1087,14 +1088,13 @@ def lexicographic_basis(
     """The lexicographically smallest of the largest linkable subsets of the
     available set, ascending, with a linking from it.
 
-    Takes the available nodes in ascending order and keeps each one that
-    some linking covers together with those already kept (the matroid greedy
-    of the gammoid; see the module docstring): one network, one backward
-    search from the sink per node kept and one unit pushed along the path
-    found, stopping once every target is covered.  The linking is the flow's
-    paths, trimmed, so it starts at exactly the nodes kept.  If they are
-    fewer than the targets, it is :func:`maximum_linking`'s instead, from the
-    same network solved afresh.
+    Keeps each available node, ascending, that some linking covers with
+    those already kept (the matroid greedy; see the module docstring): one
+    network, one backward search from the sink per node kept and one unit
+    pushed along the path found, until every target is covered.  The
+    linking is the flow's paths, trimmed, so it starts at exactly the nodes
+    kept; if they are fewer than the targets, it is
+    :func:`maximum_linking`'s, from the same network solved afresh.
     """
     available, targets = tuple(available), tuple(targets)
     net = _network(*_flatten(graph, available, targets))
@@ -1138,32 +1138,31 @@ def essential_start_analysis(
 ) -> tuple[int, frozenset, frozenset]:
     """Maximum steering capacity and the unavoidable start nodes.
 
-    Returns ``(value, essential, reaches_target)`` where ``value`` is the
-    maximum number of vertex-disjoint paths that can start at distinct
-    available nodes and end at distinct target nodes (intermediate nodes of
-    either set may be traversed), ``essential`` is the set of available nodes
-    without which that value drops, and ``reaches_target`` is the set of all
-    nodes with a path to the target set.
+    Returns ``(value, essential, reaches_target)``: the maximum number of
+    vertex-disjoint paths from distinct available to distinct target nodes
+    (which may pass other nodes of either set), the available nodes without
+    which it drops, and every node with a path to the target set.
 
-    An available node a is essential iff its entry half a- is not labelled.
-    A labelled a- is reached either over its unused source arc (as for
-    every node that cannot reach T, which carries no flow) or by a residual
-    path that, with the reverse source arc, forms a cycle rerouting a's path
-    elsewhere; an unlabelled a- lies on a path of every maximum family of
-    disjoint paths.
+    An available node a is essential iff the residual search from s misses
+    its entry half a-: a labelled a- is reached over its unused source arc,
+    or by a residual path that, with the reverse source arc, reroutes a's
+    path elsewhere.  On the CSR kernel both sets are one search each on the
+    node graph (see the module docstring): from s, over the index's
+    successors and the rows of the flow's path nodes, and from T over its
+    predecessors.  The graph keeps the flow, a few integers per path node,
+    and every call searches afresh.
     """
-    net = _solved(graph, available, targets)
-    return (net.value, net.essential(),
-            frozenset(net.reaches_target(np.arange(len(net.labels)))))
+    return _available_start_analysis(graph, available, targets, True)
 
 
-def _available_start_analysis(graph, available, targets) -> tuple:
-    """:func:`essential_start_analysis` with only the available nodes among
-    those that reach the target set: all of them are a label per node of a
-    large graph, most of them not available."""
+def _available_start_analysis(graph, available, targets,
+                              every_node: bool = False) -> tuple:
+    """:func:`essential_start_analysis` with, unless ``every_node``, only
+    the available nodes among those that reach T: in a large graph, most of
+    the labels that do are not available."""
     net = _solved(graph, available, targets)
-    return (net.value, net.essential(),
-            frozenset(net.reaches_target(net.sources)))
+    nodes = np.arange(len(net.labels)) if every_node else net.sources
+    return net.value, net.essential(), frozenset(net.reaches_target(nodes))
 
 
 def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
@@ -1172,13 +1171,11 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
     bipartite graph with an edge between row ``rows[k]`` and column
     ``cols[k]`` for each k, or -1 if it is unmatched.
 
-    A matching is a linking of the digraph with an edge from each column to
-    its rows, from the columns into the rows: each flow path of the
-    network over it is one matched pair (column, row).  Below
-    ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves that network;
-    from there on scipy's Hopcroft-Karp matches the pattern directly, which
-    on a 100 000-row pattern takes a fifth of the time that reading the
-    pairs off the Dinic flow does.
+    A matching is a linking from the columns into the rows of the digraph
+    with an edge from each column to its rows, one flow path per matched
+    pair.  Below ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves
+    that network; from there on scipy's Hopcroft-Karp matches the pattern,
+    in a fifth of the time of the Dinic flow on a 100 000-row pattern.
     """
     if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
         _load_scipy()

@@ -126,10 +126,10 @@ class StructuredSystem:
 
     Instances are immutable and safe to share across threads.  The one
     mutable part is a cache: ``state_adjacency()`` keeps its state graph,
-    and that graph keeps its last solved CSR-sized network
+    and that graph keeps its edge index and one solved CSR-sized flow
     (``flow._solved``).  Each is published in one step (a dict
     ``setdefault``, a slot assignment), which a thread sees whole or not at
-    all, and a stored network's flow is read-only once solved, so a question
+    all, and no question changes a flow once it is stored, so a question
     never sees another's half-built or changed state.
     """
 

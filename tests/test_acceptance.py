@@ -220,8 +220,8 @@ def test_criterion_7_complexity_smoke(monkeypatch):
         n=n, state_edges=tuple(edges), available=available, targets=targets
     )
 
-    # the four questions on the system's own sets share one network over
-    # the whole graph, solved once
+    # the four questions on the system's own sets share one solve, on the
+    # sub-network alone: none builds a network over the whole graph
     calls = {"build": 0, "solve": 0}
     count_networks(monkeypatch, calls, n)
     graph = sys_.state_adjacency()
@@ -237,7 +237,7 @@ def test_criterion_7_complexity_smoke(monkeypatch):
     )
     assert labelled == set(available)
     assert len(solution.steering) == len(separator) == linking.size == 10
-    assert calls == {"build": 1, "solve": 1}
+    assert calls == {"build": 0, "solve": 1}
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     _report("7", f"classified, solved, separated and linked n=100000, "
                  f"e=300000, p=10 in {elapsed:.2f} s")

@@ -456,9 +456,9 @@ def four_questions(sys_):
 
 
 class TestOneSolvePerSets:
-    """A system's state graph keeps its last solved CSR-sized network, and
-    every later question on the same available and target sets reads its
-    answer off it."""
+    """A system's state graph keeps the flow of its last solved CSR-sized
+    network, and every later question on the same available and target sets
+    reads its answer off that flow."""
 
     @staticmethod
     def builds_and_solves(question, graph, *args):
@@ -472,17 +472,21 @@ class TestOneSolvePerSets:
             return question(graph, *args), calls
 
     def test_one_solve_for_the_four_questions(self):
+        # the sub-network proves its flow, so no question builds a network
+        # over the whole graph, and the four share one solve
         sys_ = csr_sized_system()
         answers, calls = self.builds_and_solves(four_questions, sys_)
-        assert calls == {"build": 1, "solve": 1}
+        assert calls == {"build": 0, "solve": 1}
         classes, solution, separator, linking = answers
         assert classes.useless and not isinstance(solution, Unsolvable)
+        # the kept flow is its paths' nodes, not a network
         kept = sys_.state_adjacency()._last_solved[1]
-        assert not kept.flow.flags.writeable
-        # a fresh system builds its own network and answers the same
+        assert isinstance(kept, flow._NodeFlow)
+        assert len(kept.on) < 100 and kept.value == len(kept.firsts) == 4
+        # a fresh system solves its own and answers the same
         assert answers == four_questions(csr_sized_system())
         # a check on another steering set solves its sub-network alone: it
-        # builds no network over the whole graph and keeps the one kept, so
+        # builds no network over the whole graph and keeps the flow kept, so
         # the next question on the system's own sets builds and solves
         # nothing
         last = sys_.state_adjacency()._last_solved
@@ -496,6 +500,29 @@ class TestOneSolvePerSets:
             again, calls = self.builds_and_solves(classify_nodes, sys_)
             assert calls == {"build": 0, "solve": 0}
             assert again == classes
+
+    def test_linking_then_classify_solves_once(self):
+        # a path-only question keeps its flow when none is kept; checks on
+        # other steering sets then neither evict it nor keep theirs
+        sys_ = csr_sized_system()
+        graph = sys_.state_adjacency()
+        linking, calls = self.builds_and_solves(
+            flow.maximum_linking, graph, sys_.available, sys_.targets)
+        assert calls == {"build": 0, "solve": 1}
+        last = graph._last_solved
+        assert last is not None
+        for steering in (sys_.available[:5], sys_.available[2:]):
+            _, calls = self.builds_and_solves(
+                is_functional_target_controllable, sys_, steering)
+            assert calls == {"build": 0, "solve": 1}
+            assert graph._last_solved is last
+        classes, calls = self.builds_and_solves(classify_nodes, sys_)
+        assert calls == {"build": 0, "solve": 0}
+        assert graph._last_solved is last
+        fresh = csr_sized_system()
+        assert classes == classify_nodes(fresh)
+        assert linking == flow.maximum_linking(
+            fresh.state_adjacency(), fresh.available, fresh.targets)
 
     def test_same_answers_as_the_python_kernel(self, monkeypatch):
         classes, solution, separator, linking = four_questions(csr_sized_system())
@@ -525,9 +552,9 @@ class TestOneSolvePerSets:
         sys_ = csr_sized_system()
         tails, heads = (a.copy() for a in sys_._edge_arrays)
         graph = flow.StateGraph(range(1, sys_.n + 1), tails, heads)
-        # a path-only question builds no network over the whole graph, a
-        # labelling question builds one; neither is kept, nor the graph's
-        # edge index
+        # neither a path-only nor a labelling question builds a network over
+        # the whole graph, and each solves afresh: no flow is kept, nor the
+        # graph's edge index
         for _ in range(2):
             size, calls = self.builds_and_solves(
                 flow.max_linking_size, graph, sys_.available, sys_.targets)
@@ -537,7 +564,7 @@ class TestOneSolvePerSets:
                 flow.minimal_left_separator, graph, sys_.available,
                 sys_.targets)
             assert len(separator) == size
-            assert calls == {"build": 1, "solve": 1}
+            assert calls == {"build": 0, "solve": 1}
             assert graph._last_solved is None and graph._index is None
 
     def test_small_systems_keep_no_network(self):
@@ -567,11 +594,12 @@ class TestOneSolvePerSets:
 
     def test_two_threads_alternating_sets(self):
         # one thread alternates the separator and the classification on the
-        # system's own sets, which keep their network, while the other
+        # system's own sets, which keep their flow, while the other
         # alternates checks on two other steering sets, which solve
-        # sub-networks and keep nothing; the first to ask builds the graph's
-        # edge index.  On a short switch interval every answer must be a
-        # serial call's, and the network kept at the end the own sets'.
+        # sub-networks and keep theirs only while no flow is kept; the first
+        # to ask builds the graph's edge index.  On a short switch interval
+        # every answer must be a serial call's, and the flow kept at the end
+        # the own sets'.
         sys_ = csr_sized_system()
 
         def separator(s):

@@ -17,6 +17,7 @@ from netctrl import (
     build_auxiliary_graph,
     build_graph,
     instantiate,
+    is_functional_target_controllable,
     max_flow,
     max_linking_size,
     maximum_linking,
@@ -37,6 +38,7 @@ from .oracles import (
     bf_max_linking_size,
     bf_minimum_separators,
     is_separator,
+    reachable_from,
     simple_direct_paths,
 )
 
@@ -576,11 +578,10 @@ class TestOneNetwork:
                                     minimal_left_separator,
                                     essential_start_analysis])
     def test_one_build_and_one_solve_per_call(self, op, steering_system):
-        # a labelling question builds the whole network; one that reads
-        # only the flow's value and paths builds it only when the CSR
-        # kernel's sub-network would reach half the graph.  The funnels are
-        # CSR-sized and regrow their sub-network: more than one Dinic run is
-        # still one solve.
+        # every question reads the CSR kernel's sub-network and builds the
+        # whole network only when that would reach half the graph.  The
+        # funnels are CSR-sized and regrow their sub-network: more than one
+        # Dinic run is still one solve.
         rng = random.Random(16)
         cases = [(steering_system.state_adjacency(), (1, 2, 3, 4), (8, 9)),
                  ({1: (), 2: ()}, (1,), (2,)), ({1: ()}, (1,), (1,)),
@@ -588,18 +589,17 @@ class TestOneNetwork:
         for _ in range(10):
             sys_ = random_system(rng, max_n=12, max_available=6, max_targets=4)
             cases.append((sys_.state_adjacency(), sys_.available, sys_.targets))
-        paths_only = op in (max_linking_size, maximum_linking)
         builds = set()
         for case in cases:
             py, csr = both_kernels(self.builds_and_solves(op), *case)
             assert py == {"read": 1, "build": 1, "solve": 1, "preprocess": 0,
                           "dinic": 0}
-            build = int(not paths_only or falls_back(*case))
+            build = int(falls_back(*case))
             builds.add(build)
             assert csr == {"read": 1, "build": build, "solve": 1,
                            "preprocess": 0, "dinic": csr["dinic"]}
             assert csr["dinic"] >= 1 + (len(case[0]) > 1000)
-        assert builds == ({0, 1} if paths_only else {1})
+        assert builds == {0, 1}
 
     @given(trimming_cases())
     @settings(max_examples=100, deadline=None)
@@ -681,6 +681,108 @@ def test_find_positions_and_insertion_points():
     assert flow._find(graph, rows[:0], cols[:0]).shape == (0,)
 
 
+def nx_labelled(adj, available, targets, open_sources):
+    """The nodes that the search from s reaches in the residual graph of a
+    maximum flow on the high-level network over ``adj``, with every source
+    arc open or of capacity 1: the sink side of networkx's minimum cut of
+    the network reversed, which holds the nodes that reach its sink s."""
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for v, succs in adj.items():
+        g.add_edge((v, 1), (v, 0), capacity=1)
+        for w in succs:
+            g.add_edge((w, 0), (v, 1))  # no capacity: unbounded
+    for a in available:
+        g.add_edge((a, 0), "s", **({} if open_sources else {"capacity": 1}))
+    for t in targets:
+        g.add_edge("t", (t, 1))
+    return nx.minimum_cut(g, "t", "s")[1][1]
+
+
+def bf_left_separator(adj, available, targets):
+    """The minimum separator closest to the available set, by enumeration:
+    the one that leaves the fewest nodes reachable from the available set,
+    each of which every other leaves reachable too."""
+    def left_of(sep):
+        return reachable_from({v: [w for w in adj[v] if w not in sep]
+                               for v in adj}, set(available) - sep) - sep
+    size = bf_max_linking_size(adj, set(available), set(targets))
+    seps = bf_minimum_separators(adj, set(available), set(targets), size)
+    best = min(seps, key=lambda sep: len(left_of(sep)))
+    assert all(left_of(best) | best <= left_of(sep) | sep for sep in seps)
+    return best
+
+
+class TestNodeGraphLabellings:
+    """The CSR kernel's labellings on the node graph against the Python
+    kernel's, enumeration and networkx, on graphs with self-loops on the
+    flow's paths: a self-loop u -> u is an arc from u's exit half to its
+    entry half, beside the reversed split arc of a path node."""
+
+    @staticmethod
+    def check(adj, available, targets):
+        """Both kernels' labellings, each against the references; the
+        nodes of the CSR kernel's flow paths."""
+        analyses = both_kernels(essential_start_analysis, adj, available,
+                                targets)
+        separators = both_kernels(minimal_left_separator, adj, available,
+                                  targets)
+        size = bf_max_linking_size(adj, set(available), set(targets))
+        essential = frozenset(
+            a for a in available
+            if bf_max_linking_size(adj, set(available) - {a}, set(targets))
+            < size)
+        reverse = {v: [u for u in adj if v in adj[u]] for v in adj}
+        labelled = nx_labelled(adj, available, targets, open_sources=False)
+        assert essential == {a for a in available if (a, 0) not in labelled}
+        separator = bf_left_separator(adj, available, targets)
+        labelled = nx_labelled(adj, available, targets, open_sources=True)
+        assert separator == {v for v in adj if (v, 0) in labelled
+                             and (v, 1) not in labelled}
+        for answer in analyses:
+            assert answer == (size, essential,
+                              frozenset(reachable_from(reverse, targets)))
+        assert separators == [separator] * 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "CSR_MIN_ARCS", 0)
+            solved = flow._solved(adj, available, targets)
+        assert isinstance(solved, flow._NodeFlow)
+        return set(flow._labels_at(sorted(adj), solved.on))
+
+    def test_self_loops_on_flow_paths(self):
+        rng = random.Random(51)
+        looped = 0
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(n, 2 * n))}
+            loops = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            edges |= {(v, v) for v in loops}
+            adj = {v: tuple(sorted(w for u, w in edges if u == v))
+                   for v in range(1, n + 1)}
+            available = rng.sample(range(1, n + 1), rng.randint(1, n))
+            targets = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            looped += bool(self.check(adj, available, targets) & loops)
+        assert looped >= 20, looped
+
+    def test_the_only_path_through_a_self_loop(self):
+        # 1 -> 2 -> 3 and 4 -> 2 -> 3 are the A-T paths, and 2 has a
+        # self-loop: 2's entry half is labelled over the edge arcs into it,
+        # and its exit half is not, though the self-loop's arc joins them
+        adj = {1: (2,), 2: (2, 3), 3: (), 4: (2,), 5: (4,)}
+        assert self.check(adj, (1, 4), (3,)) >= {2}
+        for value, essential, reaching in both_kernels(
+                essential_start_analysis, adj, (1, 4), (3,)):
+            assert (value, essential, reaching) == (1, frozenset(),
+                                                    frozenset({1, 2, 3, 4, 5}))
+        assert both_kernels(minimal_left_separator, adj, (1, 4), (3,)) == [
+            frozenset({2})] * 2
+        # with 1 alone available, 1 is essential and the separator itself
+        assert self.check(adj, (1,), (3,)) >= {1, 2}
+        assert both_kernels(minimal_left_separator, adj, (1,), (3,)) == [
+            frozenset({1})] * 2
+
+
 class TestSolvedCsrNetwork:
     """The CSR kernel's flow, mapped onto the network's own arcs after
     Dinic, in both directions: a 0/1 flow that networkx confirms, and
@@ -760,20 +862,54 @@ class TestSolvedCsrNetwork:
         assert len(searches) >= 2 * 6
 
 
-def assert_residual_searches(net):
-    """A solved CSR network's essential set, separator and backward search,
-    against searches over scipy's matrices of its residual graph."""
-    labels = np.asarray(net.labels)
+def residual_labelling(net, open_sources=False):
+    """Mask of the halves of a solved CSR network that a search from s
+    over scipy's matrix of its residual graph reaches."""
     mask = np.zeros(net.sink + 1, dtype=bool)
-    mask[breadth_first_order(residual_matrix(net), net.source,
+    mask[breadth_first_order(residual_matrix(net, open_sources), net.source,
                              return_predecessors=False)] = True
-    assert net.essential() == frozenset(
-        labels[net.sources[~mask[2 * net.sources]]].tolist())
-    mask[:] = False
-    mask[breadth_first_order(residual_matrix(net, open_sources=True),
-                             net.source, return_predecessors=False)] = True
+    return mask
+
+
+def residual_essential(net):
+    """The available nodes whose entry half the residual search misses."""
+    mask = residual_labelling(net)
+    return frozenset(net.labels[k]
+                     for k in net.sources[~mask[2 * net.sources]].tolist())
+
+
+def residual_separator(net):
+    """The nodes whose entry half the residual search with every source arc
+    open reaches, and whose exit half it misses."""
+    mask = residual_labelling(net, open_sources=True)
     cut = mask[0:net.source:2] & ~mask[1:net.source:2]
-    assert net.separator() == frozenset(labels[cut].tolist())
+    return frozenset(net.labels[k] for k in np.flatnonzero(cut).tolist())
+
+
+def node_flow(net):
+    """A solved CSR network's flow as the kernel keeps it, over the same
+    labels."""
+    position = flow._indexer(net.labels)
+    return flow._NodeFlow(
+        net.labels, net.sources, net.sinks,
+        flow._edge_index(len(net.labels), *net.edges),
+        [[position(v) for v in path] for path in net.paths()])
+
+
+def assert_residual_searches(net):
+    """A solved CSR network's labellings on the node graph, against searches
+    over scipy's matrices of its residual graph and of the network reversed;
+    its residual graphs and backward search, against those matrices."""
+    solved = node_flow(net)
+    assert solved.value == net.value
+    assert solved.essential() == residual_essential(net)
+    assert solved.separator() == residual_separator(net)
+    reach = np.zeros(net.sink + 1, dtype=bool)
+    reach[breadth_first_order(csr_array(net.capacity.T), net.sink,
+                              return_predecessors=False)] = True
+    nodes = np.arange(len(net.labels))
+    assert solved.reaches_target(nodes) == [net.labels[k] for k in nodes
+                                            if reach[2 * k]]
     np.testing.assert_array_equal(net.to_sink(), residual_matrix_to_sink(net))
     # a maximum flow leaves no residual path from s to t
     assert net.to_sink()[net.source] < 0
@@ -782,8 +918,6 @@ def assert_residual_searches(net):
     # ascending
     for graph, matrix in (
             (net._residual(False), residual_matrix(net)),
-            (net._residual(False, open_sources=True),
-             residual_matrix(net, open_sources=True)),
             (net._residual(True), csr_array(residual_matrix(net).T))):
         rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
         assert np.all((np.diff(graph.indices) >= 0) | (np.diff(rows) > 0))
@@ -934,9 +1068,9 @@ def dinic_runs(monkeypatch):
         runs.append(len(net.labels))
         return dinic(net)
 
-    def counted_residual(net, backward, open_sources=False):
+    def counted_residual(net, backward):
         residuals.append((len(net.labels), backward))
-        return residual(net, backward, open_sources)
+        return residual(net, backward)
 
     monkeypatch.setattr(kernel, "_dinic", counted_dinic)
     monkeypatch.setattr(kernel, "_residual", counted_residual)
@@ -983,6 +1117,35 @@ def funnel(reverse):
     return (adj, targets, available) if reverse else (adj, available, targets)
 
 
+def broom(stem, fan, depth):
+    """A system on which a check on its own sets regrows its sub-network
+    until a regrow reaches a level that would take W far past twice its
+    size, with the successor dict of its state graph.
+
+    As in ``funnel``, a1 -> p1..p11 -> t1 is short, a2 -> q1..q200 -> t2 is
+    long and t3's one predecessor z has none, so the flow is 2.  a3 starts
+    a path of ``stem`` nodes, whose last node roots a tree of ``depth``
+    levels with ``fan`` children to a node and no target: F grows by two or three nodes
+    a level until it meets the tree, and then by a factor of ``fan``."""
+    edges = []
+    for chain in (["a1"] + [f"p{k}" for k in range(1, 12)] + ["t1"],
+                  ["a2"] + [f"q{k}" for k in range(1, 201)] + ["t2"],
+                  ["z", "t3"], ["a3"] + [f"r{k}" for k in range(1, stem + 1)]):
+        edges += zip(chain, chain[1:])
+    level = [f"r{stem}"]
+    for level_k in range(depth):
+        children = [f"b{level_k}_{k}" for k in range(fan * len(level))]
+        edges += [(level[k // fan], child) for k, child in enumerate(children)]
+        level = children
+    at = {name: k for k, name in
+          enumerate(sorted({name for edge in edges for name in edge}), 1)}
+    sys_ = StructuredSystem(n=len(at),
+                            state_edges=[(at[u], at[v]) for u, v in edges],
+                            available=[at["a1"], at["a2"], at["a3"]],
+                            targets=[at["t1"], at["t2"], at["t3"]])
+    return sys_, dict(sys_.state_adjacency())
+
+
 def random_graph(rng, n, per_node):
     """A StateGraph on 1..n over about ``per_node`` random edges per node,
     with self-loops on 5 % of the nodes, and its edges."""
@@ -1019,19 +1182,21 @@ class TestSubNetworkSolve:
         ref = whole_network(graph, available, targets)
         assert ref.value == nx_linking_size(graph, available, targets)
         runs.clear()
+        keeps_none = getattr(graph, "_last_solved", None) is None
         assert max_linking_size(graph, available, targets) == ref.value
         solved = list(runs)
         runs.clear()
-        assert minimal_left_separator(graph, available, targets) == ref.separator()
+        assert (minimal_left_separator(graph, available, targets)
+                == residual_separator(ref))
         value, essential, _ = essential_start_analysis(graph, available, targets)
-        assert (value, essential) == (ref.value, ref.essential())
+        assert (value, essential) == (ref.value, residual_essential(ref))
         linking = maximum_linking(graph, available, targets)
         assert linking.size == ref.value
         assert_valid_linking(linking, graph, available, targets)
-        # a StateGraph keeps the network of the size question only if that
-        # is the whole one, and the separator's for the next two questions
+        # a StateGraph keeps the size question's flow if it kept none, and
+        # else the separator's, for the questions after it
         if isinstance(graph, flow.StateGraph):
-            assert runs == ([] if solved[-1] == len(graph) else solved)
+            assert runs == ([] if keeps_none else solved)
         return solved
 
     def test_random_sets_on_one_graph(self, monkeypatch):
@@ -1073,6 +1238,30 @@ class TestSubNetworkSolve:
                 if size == runs[-1]] == ([True, False] if reverse else [True])
         self.check(adj, available, targets, runs)
 
+    @pytest.mark.parametrize("stem, fan, depth", [(10, 5, 5), (60, 5, 5),
+                                                  (80, 3, 7)])
+    def test_a_regrow_takes_a_level_in_part(self, monkeypatch, stem, fan,
+                                            depth):
+        # a regrow level that would take W past twice the size that failed
+        # grows only in part: W at most about doubles on every regrow, where
+        # whole levels took it to 2.8-4.7 times its size, or past half the
+        # graph.  The verdict and the witness agree with enumeration.
+        runs, _ = dinic_runs(monkeypatch)
+        sys_, adj = broom(stem, fan, depth)
+        for targets in (sys_.targets, sys_.targets[:2]):
+            runs.clear()
+            verdict = is_functional_target_controllable(sys_, targets=targets)
+            assert len(runs) >= 3 and runs[-1] < sys_.n / 2
+            assert all(grown <= 2.2 * failed
+                       for failed, grown in zip(runs, runs[1:]))
+            size = bf_max_linking_size(adj, set(sys_.available), set(targets))
+            assert verdict.linking_size == size == 2
+            assert verdict.controllable == (size == len(targets))
+            linking = maximum_linking(sys_.state_adjacency(), sys_.available,
+                                      targets)
+            assert linking.size == size
+            assert_valid_linking(linking, adj, sys_.available, targets)
+
     def test_question_sequences(self, monkeypatch):
         # random sequences of questions on a few (A, T) per graph, so that a
         # path-only question (size, linking) meets the network kept by a
@@ -1105,10 +1294,10 @@ class TestSubNetworkSolve:
                 runs.clear()
                 answer = question(graph, available, targets)
                 if question is minimal_left_separator:
-                    assert answer == ref.separator()
+                    assert answer == residual_separator(ref)
                     continue
                 if question is essential_start_analysis:
-                    assert answer[:2] == (ref.value, ref.essential())
+                    assert answer[:2] == (ref.value, residual_essential(ref))
                     continue
                 value = answer if question is max_linking_size else answer.size
                 assert value == ref.value == nx_linking_size(graph, available,
