@@ -724,7 +724,8 @@ class _CsrFlow:
         """The residual graph of the flow as it is, reversed if
         ``backward``: the network's arcs, or ``_reversed``'s, less those the
         flow saturates, plus those carrying flow reversed once more, in
-        column order, as the greedy follows its search's predecessors."""
+        column order, as the greedy follows its search's predecessors (a
+        pair entered twice, a self-looped node's halves, changes nothing)."""
         arcs, tails, heads = self._carrying()
         full = self.flow[arcs] == self.capacity.data[arcs]
         graph, rows, cols = ((self._reversed, tails, heads) if backward
