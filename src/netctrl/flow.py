@@ -43,11 +43,13 @@ or a StateGraph over writable arrays, which may change, keeps none.
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
 lexicographically smallest maximal one (:func:`lexicographic_basis`).  It
-runs on the same network, unsolved: starting from zero flow with every
-source arc closed, candidate a is taken iff a- reaches the sink in the
-residual graph, and then one unit is pushed along that path.  A rejected
-candidate leaves the residual graph as it was, so one backward search from
-the sink serves every candidate up to the next one taken.
+grows a flow from zero with every source arc closed: candidate a is taken
+iff a- reaches the sink in the residual graph, and one unit is then pushed
+along that path.  A rejected candidate leaves the residual graph as it was,
+so one backward search from the sink serves every candidate up to the next
+one taken.  On the CSR kernel the flow is its paths on the node graph, and
+the backward search is a labelling of the reversed view: the predecessors,
+each path reversed, every sink arc open.
 
 Every network, the high-level operations' and :func:`build_auxiliary_graph`'s
 alike, is built from one reading of its graph, :func:`_flatten`: the labels
@@ -57,21 +59,20 @@ StateGraph hands over its own arrays; a successor dict is sorted and indexed
 there.  A node of A, T or a successor list that is not a label raises
 ``ValueError("node ... not in graph")`` before any network is built.
 
-Two kernels solve the network, and :func:`_network` picks one from the
-number of split and edge arcs.  Small networks go through the pure-Python
-augmenting-path solver below (``_build_arrays``/``_solve``), which answers a
-question in 10-30 us on a one-node graph and in 50-100 us on the 9-node
-example.  From ``CSR_MIN_ARCS`` split and edge arcs on, scipy's Dinic
+Two kernels solve the network, chosen by the number of split and edge
+arcs.  Small networks go through the pure-Python augmenting-path solver
+below (``_build_arrays``/``_solve``), which answers a question in 10-30 us
+on a one-node graph and in 50-100 us on the 9-node example.  From
+``CSR_MIN_ARCS`` split and edge arcs on, scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``, about 0.2 ms per call however small
 the network) solves the sub-network over balls grown from A and T, along the
 graph's successors and predecessors, until the flow's value, a residual cut
 or balls that cannot grow prove its flow maximum (:func:`_sub_solved`).  It
 runs from the smaller terminal set: with fewer targets than sources, on the
 reversed network from the sink.  A network over the whole graph
-(:class:`_CsrFlow`, CSR arrays with a 0/1 flow on their arcs) is built only
-when the sub-network would reach half the nodes, and for the greedy.  Both
-kernels return the same flow value, separator and essential set; the
-linkings they return are both maximum but may differ.
+(:func:`_dinic`) is laid out only when the sub-network would reach half the
+nodes.  Both kernels return the same flow value, separator and essential
+set; the linkings they return are both maximum but may differ.
 
 A maximum bipartite matching is a linking from the columns into the rows
 (:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
@@ -87,7 +88,6 @@ import importlib
 import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -633,164 +633,70 @@ class _PyFlow:
 # CSR kernel for large networks
 # ---------------------------------------------------------------------------
 
-class _CsrFlow:
-    """The network of the high-level operations (see the module docstring),
-    held as CSR arrays with its flow ``flow``, 0 or 1 on each arc of
-    ``capacity.data``, zero until Dinic's flow is mapped onto it.
+def _dinic(n: int, sources: np.ndarray, sinks: np.ndarray, tails: np.ndarray,
+           heads: np.ndarray) -> list:
+    """The paths of a maximum flow on the network of the high-level
+    operations (see the module docstring) over ``n`` nodes with the edges
+    ``tails[k] -> heads[k]``, sorted by tail, then head, each path as its
+    nodes' positions.
 
-    Numbering as in AuxiliaryGraph: 2k and 2k+1 are the entry and exit
-    halves of the k-th label, 2n the source and 2n+1 the sink.  Every row
-    holds its arcs ascending by head, and :func:`_find` finds any arc.
-    """
-
-    def __init__(self, labels, sources, sinks, tails, heads):
-        _load_scipy()
-        n = len(labels)
-        self.labels, self.sources, self.sinks = labels, sources, sinks
-        self.edges = (tails, heads)
-        self.source, self.sink = 2 * n, 2 * n + 1
-        out_edges = np.bincount(tails, minlength=n)
-        row_len = np.zeros(2 * n + 2, dtype=np.int64)
-        row_len[0:2 * n:2] = 1
-        row_len[1:2 * n:2] = out_edges + np.bincount(sinks, minlength=n)
-        row_len[self.source] = len(sources)
-        indptr = np.zeros(2 * n + 3, dtype=np.int64)
-        np.cumsum(row_len, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        cap = np.full(indptr[-1], len(sinks) + 1, dtype=np.int32)
-        split = indptr[0:2 * n:2]
-        indices[split] = np.arange(1, 2 * n, 2)
-        cap[split] = 1
-        # an exit half's row holds its edge arcs by head, then its sink arc
-        first_edge = np.cumsum(out_edges) - out_edges
-        rank = np.arange(len(tails)) - first_edge[tails]
-        indices[indptr[2 * tails + 1] + rank] = 2 * heads
-        indices[indptr[2 * sinks + 2] - 1] = self.sink
-        indices[indptr[self.source]:] = 2 * sources
-        cap[indptr[self.source]:] = 1
-        indptr = indptr.astype(np.int32)
-        self.capacity = csr_array((cap, indices, indptr),
-                                  shape=(2 * n + 2, 2 * n + 2))
-        self.flow = np.zeros(len(cap), dtype=np.int8)
-
-    @cached_property
-    def _reversed(self) -> csr_array:
-        """The network with every arc reversed."""
-        return csr_array(self.capacity.T)
-
-    def solve(self) -> None:
-        """Augment to a maximum flow: :func:`_sub_solved`'s, mapped onto
-        this network, or Dinic's on all of it if that gives up."""
-        found = _sub_solved(len(self.labels), self.sources, self.sinks,
-                            _edge_index(len(self.labels), *self.edges))
-        if found is None:
-            return self._dinic()
-        sub, within = found
-        _, tails, heads = sub._carrying()
-        halves = np.append((2 * within[:, None] + [0, 1]).ravel(),
-                           [self.source, self.sink])
-        self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
-        self.flow[_find(self.capacity, halves[tails], halves[heads])] = 1
-        self.value = sub.value
-
-    def _dinic(self) -> None:
-        """Dinic on this network from the smaller terminal set, as its search
-        from many sources spans most of a large graph: from the sink on the
-        reversed network, whose flow is the forward one read backwards."""
-        backward = len(self.sinks) < len(self.sources)
-        result = maximum_flow(*((self._reversed, self.sink, self.source)
-                                if backward else
-                                (self.capacity, self.source, self.sink)),
-                              method="dinic")
-        # scipy's flow has an entry for every arc and its reverse, and is
-        # antisymmetric: its positive entries are the arcs carrying flow
-        flow = result.flow
-        carrying = np.flatnonzero(flow.data > 0)
-        ends = (np.searchsorted(flow.indptr, carrying, side="right") - 1,
-                flow.indices[carrying])
-        tails, heads = (ends[::-1] if backward else ends)
-        self.flow = np.zeros(self.capacity.nnz, dtype=np.int8)
-        self.flow[_find(self.capacity, tails, heads)] = 1
-        self.value = int(result.flow_value)
-
-    def _carrying(self) -> tuple:
-        """The positions, tails and heads of the arcs carrying flow."""
-        arcs = np.flatnonzero(self.flow != 0)
-        indptr, indices = self.capacity.indptr, self.capacity.indices
-        return (arcs, np.searchsorted(indptr, arcs, side="right") - 1,
-                indices[arcs].astype(np.int64))
-
-    def _residual(self, backward: bool) -> csr_array:
-        """The residual graph of the flow as it is, reversed if
-        ``backward``: the network's arcs, or ``_reversed``'s, less those the
-        flow saturates, plus those carrying flow reversed once more, in
-        column order, as the greedy follows its search's predecessors (a
-        pair entered twice, a self-looped node's halves, changes nothing)."""
-        arcs, tails, heads = self._carrying()
-        full = self.flow[arcs] == self.capacity.data[arcs]
-        graph, rows, cols = ((self._reversed, tails, heads) if backward
-                             else (self.capacity, heads, tails))
-        dropped = np.sort(_find(graph, cols[full], rows[full]))
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        at = _find(graph, rows, cols)
-        indices = np.insert(np.delete(graph.indices, dropped),
-                            at - np.searchsorted(dropped, at), cols)
-        n = graph.shape[0]
-        dropped_rows = np.searchsorted(graph.indptr, dropped, side="right") - 1
-        return _graph(graph.indptr + _below(rows, n) - _below(dropped_rows, n),
-                      indices)
-
-    def paths(self) -> list:
-        """The flow's paths.  Every split arc carries at most one unit, so
-        each half node used by the flow has one successor on it."""
-        _, tails, heads = self._carrying()
-        succ = dict(zip(tails.tolist(), heads.tolist()))
-        paths = []
-        for node in heads[tails == self.source].tolist():
-            path = []
-            while node != self.sink:
-                if node % 2 == 0:
-                    path.append(self.labels[node // 2])
-                node = succ[node]
-            paths.append(tuple(path))
-        return paths
-
-    def to_sink(self) -> np.ndarray:
-        """Per node, its next step on a residual path to the sink, negative
-        if it has none: a search from t over the residual graph reversed."""
-        return breadth_first_order(self._residual(backward=True), self.sink,
-                                   return_predecessors=True)[1]
-
-    def push(self, v: int, hops: np.ndarray) -> None:
-        """Send one unit from node v to the sink along the path in ``hops``:
-        a step v -> w takes the arc v -> w if it has capacity left, else
-        cancels flow on w -> v (a self-looped node has arcs both ways between
-        its halves).  The path is node-simple, so no two steps share an arc."""
-        path = [v]
-        while path[-1] != self.sink:
-            path.append(int(hops[path[-1]]))
-        tails, heads = np.array(path[:-1]), np.array(path[1:])
-        cap = self.capacity
-        arcs = _find(cap, tails, heads)
-        ahead = ((arcs < cap.indptr[tails + 1]) & (cap.indices[arcs] == heads)
-                 & (self.flow[arcs] < cap.data[arcs]))
-        self.flow[arcs[ahead]] += 1
-        self.flow[_find(cap, heads[~ahead], tails[~ahead])] -= 1
-
-    def open_sources(self, entries: list) -> list:
-        """As :meth:`_PyFlow.open_sources`."""
-        entries = np.asarray(entries, dtype=np.int64)
-        self.flow[_find(self.capacity, np.full(len(entries), self.source),
-                        entries)] = 1
-        return _labels_at(self.labels, entries // 2)
+    The network is laid out as CSR arrays, numbered as in AuxiliaryGraph
+    (2k and 2k+1 the entry and exit halves of node k, 2n the source, 2n+1
+    the sink), every row ascending by head.  Dinic runs from the smaller
+    terminal set, as its search from many sources spans most of a large
+    graph: from the sink on the reversed network, whose flow is the forward
+    one read backwards.  Every split arc carries at most one unit, so each
+    half node on a path has one successor on it."""
+    _load_scipy()
+    source, sink = 2 * n, 2 * n + 1
+    out_edges = np.bincount(tails, minlength=n)
+    row_len = np.zeros(2 * n + 2, dtype=np.int64)
+    row_len[0:2 * n:2] = 1
+    row_len[1:2 * n:2] = out_edges + np.bincount(sinks, minlength=n)
+    row_len[source] = len(sources)
+    indptr = np.zeros(2 * n + 3, dtype=np.int64)
+    np.cumsum(row_len, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    cap = np.full(indptr[-1], len(sinks) + 1, dtype=np.int32)
+    split = indptr[0:2 * n:2]
+    indices[split] = np.arange(1, 2 * n, 2)
+    cap[split] = 1
+    # an exit half's row holds its edge arcs by head, then its sink arc
+    first_edge = np.cumsum(out_edges) - out_edges
+    rank = np.arange(len(tails)) - first_edge[tails]
+    indices[indptr[2 * tails + 1] + rank] = 2 * heads
+    indices[indptr[2 * sinks + 2] - 1] = sink
+    indices[indptr[source]:] = 2 * sources
+    cap[indptr[source]:] = 1
+    capacity = csr_array((cap, indices, indptr.astype(np.int32)),
+                         shape=(2 * n + 2, 2 * n + 2))
+    backward = len(sinks) < len(sources)
+    flow = maximum_flow(*((csr_array(capacity.T), sink, source) if backward
+                          else (capacity, source, sink)), method="dinic").flow
+    # scipy's flow has an entry for every arc and its reverse, and is
+    # antisymmetric: its positive entries are the arcs carrying flow
+    carrying = np.flatnonzero(flow.data > 0)
+    ends = (np.searchsorted(flow.indptr, carrying, side="right") - 1,
+            flow.indices[carrying])
+    tails, heads = ends[::-1] if backward else ends
+    succ = dict(zip(tails.tolist(), heads.tolist()))
+    paths = []
+    for node in heads[tails == source].tolist():
+        path = []
+        while node != sink:
+            if node % 2 == 0:
+                path.append(node // 2)
+            node = succ[node]
+        paths.append(path)
+    return paths
 
 
 class _NodeFlow:
-    """A maximum flow of the CSR kernel's network as its paths' nodes
-    ``on``, path by path from source arc to sink arc, each path starting at
-    a position of ``firsts``, with the graph's labels, A, T and
-    :func:`_edge_index`; its labellings search the node graph."""
+    """A flow of the CSR kernel's network as its paths' nodes ``on``, path
+    by path from source arc to sink arc, each path starting at a position
+    of ``firsts``, with the graph's labels, A, T and :func:`_edge_index`;
+    its labellings search the node graph.  The kernel holds maximum flows,
+    and the greedy the flows it grows."""
 
     def __init__(self, labels, sources, sinks, index, paths):
         self.labels, self.sources, self.sinks = labels, sources, sinks
@@ -803,12 +709,21 @@ class _NodeFlow:
         return [tuple(_labels_at(self.labels, walk))
                 for walk in np.split(self.on, self.firsts)[1:]]
 
+    def reversed(self) -> _NodeFlow:
+        """The same flow on the network with every arc reversed, from T to
+        A: over the predecessors, each path reversed, so that a path node's
+        own node is its exit half and its extra node its entry half."""
+        return _NodeFlow(self.labels, self.sinks, self.sources,
+                         self.index[::-1], [walk[::-1] for walk in
+                                            np.split(self.on, self.firsts)[1:]])
+
     def _labelled(self, open_sources: bool) -> np.ndarray:
-        """Mask of the node graph's nodes that the residual search from s
-        reaches, with every source arc open if ``open_sources``: per label
-        its node (a path node's entry half), the exit halves of ``on``, and
-        s.  A path node's own row repeats its arc back, to the exit half
-        before it or to s; its exit half's holds it and its successors."""
+        """Per node of the node graph, the one from which the residual
+        search from s reached it, negative if it did not, with every source
+        arc open if ``open_sources``.  The nodes: per label its own (a path
+        node's entry half), the extra halves of ``on``, and s.  A path
+        node's own row repeats its arc back, to the extra half before it on
+        its path or to s; its extra half's holds it and its successors."""
         (indptr, indices), _ = self.index
         n, on = len(indptr) - 1, self.on
         s = n + len(on)
@@ -830,46 +745,62 @@ class _NodeFlow:
                                  np.concatenate([back, exits, fed])))
         at, counts = _entries(graph.indptr, rows)
         graph.indices[at] = np.repeat(back, counts)
-        return _reached(graph, s)
+        return breadth_first_order(graph, s, return_predecessors=True)[1]
+
+    def _second_halves(self) -> np.ndarray:
+        """Per label, its node of the node graph for the half after its
+        split arc: a path node's extra half, else its own node."""
+        halves = np.arange(len(self.labels))
+        halves[self.on] = np.arange(len(halves), len(halves) + len(self.on))
+        return halves
+
+    def _reaches(self, open_sources: bool, nodes: np.ndarray) -> bool:
+        """Whether the residual search from s reaches the second half of
+        any of the labels at the positions ``nodes``."""
+        return bool((self._labelled(open_sources)[
+            self._second_halves()[nodes]] >= 0).any())
 
     def essential(self) -> frozenset:
-        mask = self._labelled(open_sources=False)
+        mask = self._labelled(open_sources=False) >= 0
         return frozenset(_labels_at(self.labels,
                                     self.sources[~mask[self.sources]]))
 
     def separator(self) -> frozenset:
-        mask, n = self._labelled(open_sources=True), len(self.labels)
+        mask, n = self._labelled(open_sources=True) >= 0, len(self.labels)
         cut = mask[self.on] & ~mask[n:n + len(self.on)]
         return frozenset(_labels_at(self.labels, self.on[cut]))
 
     def reaches_target(self, nodes: np.ndarray) -> list:
-        """The labels at the positions ``nodes`` with a path to a target: a
-        search over the predecessors from a node n with an arc to each."""
-        indptr, indices = self.index[1]
-        n = len(indptr) - 1
-        mask = _reached(_graph(np.append(indptr, indptr[-1] + len(self.sinks)),
-                               np.concatenate([indices, self.sinks],
-                                              dtype=np.int32)), n)
+        """The labels at the positions ``nodes`` with a path to a target."""
+        mask = _reached_from(*self.index[1], self.sinks)
         return _labels_at(self.labels, nodes[mask[nodes]])
 
 
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
               starts: Sequence[int]) -> np.ndarray:
     """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
-    along the arcs ``tails[k] -> heads[k]``: :func:`_search` below
-    ``CSR_MIN_ARCS`` nodes plus arcs, else scipy's search from a node n with
-    an arc to every start."""
+    along the arcs ``tails[k] -> heads[k]``, sorted by tail:
+    :func:`_search` below ``CSR_MIN_ARCS`` nodes plus arcs, else
+    :func:`_reached_from` over the arcs as CSR rows."""
     if n + len(tails) < CSR_MIN_ARCS:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
             adj[u].append((arc, v))
         return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
     _load_scipy()
-    starts = np.asarray(starts, dtype=np.int64)
-    graph = csr_array((np.ones(len(tails) + len(starts)),
-                       (np.concatenate([tails, np.full(len(starts), n)]),
-                        np.concatenate([heads, starts]))), shape=(n + 1, n + 1))
-    return _reached(graph, n)[:n]
+    return _reached_from(_below(tails, n), heads,
+                         np.asarray(starts, dtype=np.int64))
+
+
+def _reached_from(indptr: np.ndarray, indices: np.ndarray,
+                  starts) -> np.ndarray:
+    """Mask of the nodes of the CSR index ``(indptr, indices)`` reachable
+    from the nodes ``starts``: scipy's search from a node after them with
+    an arc to each."""
+    n = len(indptr) - 1
+    graph = _graph(np.append(indptr, indptr[-1] + len(starts)),
+                   np.concatenate([indices, starts], dtype=np.int32))
+    return breadth_first_order(graph, n, return_predecessors=True)[1][:n] >= 0
 
 
 def _edge_index(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
@@ -902,10 +833,10 @@ def _entries(indptr: np.ndarray, nodes: np.ndarray) -> tuple:
 
 
 def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
-                index: tuple) -> tuple | None:
-    """A sub-network of the network over ``n`` nodes, solved by Dinic's,
-    whose flow is maximum on the whole network, and its nodes' positions,
-    or None once it would hold half the nodes.  It is over W = F | B: both
+                index: tuple) -> list | None:
+    """The paths, as positions, of a flow on a sub-network of the network
+    over ``n`` nodes, by :func:`_dinic`, that is maximum on the whole
+    network, or None once the sub-network would hold half the nodes.  It is over W = F | B: both
     halves of each node of W, s, t, their arcs and the edge arcs within W.
     F grows from A along the successors of ``index`` (:func:`_edge_index`)
     and B from T along its predecessors, a level at a time, the smaller
@@ -916,7 +847,8 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
     neither ball can grow.  Else W grows to twice its size, and a level that
     would take it further grows only in part.  (2) and (3) hold as no arc
     out of the sub-network carries flow: an augmenting path would cross the
-    cut by an edge arc u+ -> v- into or out of W."""
+    cut by an edge arc u+ -> v- into or out of W.  They search the node
+    graph of W's own edge index, (2) in the reversed view."""
     fronts = [sources, sinks]
     balls = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]
     balls[0][sources] = balls[1][sinks] = True
@@ -955,37 +887,58 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
         at[within] = np.arange(len(within))
         tails, heads = _neighbours(index[0], within)
         kept = inside[heads]
-        sub = _CsrFlow(within, at[sources], at[sinks], at[tails[kept]],
-                       at[heads[kept]])
-        sub._dinic()
-        if sub.value == bound or not (len(fronts[0]) or len(fronts[1])):
-            return sub, within
+        edges = at[tails[kept]], at[heads[kept]]
+        paths = _dinic(len(within), at[sources], at[sinks], *edges)
+        found = [within[path] for path in paths]
+        if len(paths) == bound or not (len(fronts[0]) or len(fronts[1])):
+            return found
         # B holds every predecessor of its nodes but its last front's
         into, outer = _neighbours(index[1], np.concatenate(
             [within[~balls[1][within]], fronts[1]]))
         entered, left = at[into[~inside[outer]]], at[tails[~kept]]
-        if (not _reached(sub._residual(True), sub.sink)[2 * entered].any()
-                or not _reached(sub._residual(False), sub.source)[
-                    2 * left + 1].any()):
-            return sub, within
+        sub = _NodeFlow(range(len(within)), at[sources], at[sinks],
+                        _edge_index(len(within), *edges), paths)
+        if (not sub.reversed()._reaches(True, entered)
+                or not sub._reaches(False, left)):
+            return found
         to_share, to_cover = 0, 2 * covered
 
 
-def _find(graph: csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per k, the position of the entry (rows[k], cols[k]) in ``graph``, or
-    where it would go if there is none: a bisection of every row at once,
-    each of which lists its columns ascending."""
-    lo = graph.indptr[rows].astype(np.int64)
-    hi = graph.indptr[rows + 1].astype(np.int64)
-    last = len(graph.indices) - 1
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = (lo + hi) // 2
-        right = graph.indices[np.minimum(mid, last)] < cols
-        lo = np.where(open_ & right, mid + 1, lo)
-        hi = np.where(open_ & ~right, mid, hi)
+def _greedy(n: int, sources: np.ndarray, sinks: np.ndarray,
+            index: tuple) -> list:
+    """The matroid greedy of :func:`lexicographic_basis` on the node graph
+    of ``index``: per available node taken, ascending, its path of the
+    flow, as positions.  The flow is a set of carrying edges, each node's
+    next one on its path; its paths are walked afresh from the nodes taken
+    after each push.  The backward search from t is a labelling of the
+    flow's reversed view, with every sink arc open, and a push walks its
+    predecessors from the candidate's entry half to t: a step u+ -> w-
+    takes the edge u -> w, a step u- -> w+ gives back the edge w -> u, and
+    a step u+ -> u- is the reversed split arc, never a self-loop."""
+    nxt, walks, pred = {}, [], None
+    for a in sources.tolist():
+        if len(walks) == len(sinks):
+            break
+        if pred is None:
+            view = _NodeFlow(range(n), sources, sinks, index, walks).reversed()
+            pred, halves = view._labelled(True), view._second_halves()
+            on, t = view.on.tolist(), len(pred) - 1
+        v = int(halves[a])
+        if pred[v] < 0:
+            continue
+        while pred[v] != t:
+            w = int(pred[v])
+            if v >= n:  # from an entry half back to the exit half before it
+                del nxt[w]
+            elif w < n or on[w - n] != v:
+                nxt[v] = w if w < n else on[w - n]
+            v = w
+        walks = [[start] for start in [walk[0] for walk in walks] + [a]]
+        for walk in walks:
+            while walk[-1] in nxt:
+                walk.append(nxt[walk[-1]])
+        pred = None  # the residual graph has changed
+    return walks
 
 
 def _below(rows: np.ndarray, n: int) -> np.ndarray:
@@ -1001,62 +954,50 @@ def _graph(indptr: np.ndarray, indices: np.ndarray) -> csr_array:
                      shape=(len(indptr) - 1, len(indptr) - 1))
 
 
-def _reached(graph: csr_array, start: int) -> np.ndarray:
-    """Mask of the nodes of ``graph`` reachable from ``start``: the start
-    and those with a predecessor, cheaper to read than the order."""
-    mask = breadth_first_order(graph, start, return_predecessors=True)[1] >= 0
-    mask[start] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # High-level operations
 # ---------------------------------------------------------------------------
 
-def _network(labels, sources, sinks, tails, heads) -> _PyFlow | _CsrFlow:
-    """The network of the high-level operations over :func:`_flatten`'s
-    reading of a graph, with zero flow, on the kernel its size calls for."""
-    if len(labels) + len(tails) >= CSR_MIN_ARCS:
-        return _CsrFlow(labels, sources, sinks, tails, heads)
-    return _PyFlow(labels, sources, sinks, tails, heads)
-
-
-def _solved(graph, available, targets,
+def _solved(graph, flat: tuple,
             paths_only: bool = False) -> _PyFlow | _NodeFlow:
-    """That network's maximum flow, never to be changed by the caller: on
-    the CSR kernel a :class:`_NodeFlow`, from :func:`_sub_solved`, or from
-    Dinic's on the whole network if that gives up.  A StateGraph over
-    read-only arrays keeps its :func:`_edge_index` and one flow, keyed by
-    the positions of A and T: a labelling question replaces it, and one on
-    the flow's value and paths alone (``paths_only``) keeps its own only if
-    none is kept.  The graph is read, and its nodes checked, every time."""
-    flat = _flatten(graph, available, targets)
+    """The maximum flow of the network over :func:`_flatten`'s reading
+    ``flat`` of ``graph``, never to be changed by the caller: on the CSR
+    kernel a :class:`_NodeFlow`, from :func:`_sub_solved`, or from Dinic's
+    on the whole network if that gives up.  A StateGraph over read-only
+    arrays keeps one flow, keyed by the positions of A and T: a labelling
+    question replaces it, and one on the flow's value and paths alone
+    (``paths_only``) keeps its own only if none is kept."""
     labels, sources, sinks, tails, heads = flat
     n = len(labels)
     if n + len(tails) < CSR_MIN_ARCS:
         net = _PyFlow(*flat)
         net.solve()
         return net
-    kept = (isinstance(graph, StateGraph)
-            and not (tails.flags.writeable or heads.flags.writeable))
-    if kept:
+    kept = _kept_index(graph, n, tails, heads)
+    if kept is not None:
         key, last = (sources.tobytes(), sinks.tobytes()), graph._last_solved
         if last is not None and last[0] == key:
             return last[1]
-        if graph._index is None:
-            graph._index = _edge_index(n, tails, heads)
-    index = graph._index if kept else _edge_index(n, tails, heads)
+    index = kept or _edge_index(n, tails, heads)
     found = _sub_solved(n, sources, sinks, index)
     if found is None:  # the sub-network reached half the nodes
-        net = _CsrFlow(range(n), sources, sinks, tails, heads)
-        net._dinic()
-    else:
-        net, net.labels = found
-    # either network is labelled by positions, so its paths list positions
-    solved = _NodeFlow(labels, sources, sinks, index, net.paths())
-    if kept and not (paths_only and graph._last_solved is not None):
+        found = _dinic(n, sources, sinks, tails, heads)
+    solved = _NodeFlow(labels, sources, sinks, index, found)
+    if kept is not None and not (paths_only and graph._last_solved is not None):
         graph._last_solved = (key, solved)
     return solved
+
+
+def _kept_index(graph, n: int, tails: np.ndarray, heads: np.ndarray):
+    """The :func:`_edge_index` that a StateGraph over read-only arrays
+    builds at its first CSR-sized question and keeps, or None for any
+    other graph."""
+    if (not isinstance(graph, StateGraph) or tails.flags.writeable
+            or heads.flags.writeable):
+        return None
+    if graph._index is None:
+        graph._index = _edge_index(n, tails, heads)
+    return graph._index
 
 
 def max_linking_size(
@@ -1065,7 +1006,8 @@ def max_linking_size(
     targets: Iterable[Node],
 ) -> int:
     """Size of a maximum set of vertex-disjoint direct available-target paths."""
-    return _solved(graph, available, targets, paths_only=True).value
+    return _solved(graph, _flatten(graph, available, targets),
+                   paths_only=True).value
 
 
 def maximum_linking(
@@ -1077,7 +1019,8 @@ def maximum_linking(
     each trimmed to run from its last available node to the first target
     after it, ordered by start node."""
     available, targets = tuple(available), tuple(targets)
-    return _trimmed(_solved(graph, available, targets, paths_only=True).paths(),
+    return _trimmed(_solved(graph, _flatten(graph, available, targets),
+                            paths_only=True).paths(),
                     set(available), set(targets))
 
 
@@ -1091,30 +1034,45 @@ def lexicographic_basis(
 
     Keeps each available node, ascending, that some linking covers with
     those already kept (the matroid greedy; see the module docstring): one
-    network, one backward search from the sink per node kept and one unit
-    pushed along the path found, until every target is covered.  The
-    linking is the flow's paths, trimmed, so it starts at exactly the nodes
-    kept; if they are fewer than the targets, it is
-    :func:`maximum_linking`'s, from the same network solved afresh.
+    backward search from the sink per node kept and one unit pushed along
+    the path found, until every target is covered.  The linking is the
+    flow's paths, trimmed, so it starts at exactly the nodes kept; if they
+    are fewer than the targets, it is :func:`maximum_linking`'s: on the
+    CSR kernel from the same reading of the graph, and on the Python
+    kernel from the greedy's network solved afresh.  A CSR-sized graph
+    grows its flow on the node graph of its edge index (:func:`_greedy`)
+    and lays out no network over the whole graph.
     """
     available, targets = tuple(available), tuple(targets)
-    net = _network(*_flatten(graph, available, targets))
-    rank = len(set(targets))
-    chosen, hops = [], None
-    for v in [2 * k for k in net.sources]:
-        if len(chosen) == rank:
-            break
-        if hops is None:
-            hops = net.to_sink()
-        if hops[v] >= 0:
-            net.push(v, hops)
-            chosen.append(v)
-            hops = None  # the residual graph has changed
-    basis = tuple(net.open_sources(chosen))
-    if len(basis) < rank:
-        net.solve()
-        return basis, _trimmed(net.paths(), set(available), set(targets))
-    return basis, _trimmed(net.paths(), set(basis), set(targets))
+    flat = _flatten(graph, available, targets)
+    labels, sources, sinks, tails, heads = flat
+    if len(labels) + len(tails) >= CSR_MIN_ARCS:
+        walks = _greedy(len(labels), sources, sinks,
+                        _kept_index(graph, len(labels), tails, heads)
+                        or _edge_index(len(labels), tails, heads))
+        basis = tuple(_labels_at(labels, np.array([walk[0] for walk in walks],
+                                                  dtype=np.int64)))
+        paths = ([tuple(_labels_at(labels, np.array(walk))) for walk in walks]
+                 if len(basis) == len(sinks) else
+                 _solved(graph, flat, paths_only=True).paths())
+    else:
+        net = _PyFlow(*flat)
+        chosen, hops = [], None
+        for v in [2 * k for k in net.sources]:
+            if len(chosen) == len(sinks):
+                break
+            if hops is None:
+                hops = net.to_sink()
+            if hops[v] >= 0:
+                net.push(v, hops)
+                chosen.append(v)
+                hops = None  # the residual graph has changed
+        basis = tuple(net.open_sources(chosen))
+        if len(basis) < len(sinks):
+            net.solve()
+        paths = net.paths()
+    return basis, _trimmed(paths, set(basis if len(basis) == len(sinks)
+                                      else available), set(targets))
 
 
 def minimal_left_separator(
@@ -1129,7 +1087,7 @@ def minimal_left_separator(
     as open.  Its size equals the maximum linking size, and removing it
     disconnects the available set from the target set.
     """
-    return _solved(graph, available, targets).separator()
+    return _solved(graph, _flatten(graph, available, targets)).separator()
 
 
 def essential_start_analysis(
@@ -1161,7 +1119,7 @@ def _available_start_analysis(graph, available, targets,
     """:func:`essential_start_analysis` with, unless ``every_node``, only
     the available nodes among those that reach T: in a large graph, most of
     the labels that do are not available."""
-    net = _solved(graph, available, targets)
+    net = _solved(graph, _flatten(graph, available, targets))
     nodes = np.arange(len(net.labels)) if every_node else net.sources
     return net.value, net.essential(), frozenset(net.reaches_target(nodes))
 

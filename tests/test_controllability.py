@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -30,7 +31,8 @@ from .oracles import (
     bf_max_linking_size,
     reachable_from,
 )
-from .test_properties import both_kernels, count_networks, counted
+from .test_properties import (both_kernels, count_networks, counted,
+                              falls_back)
 
 
 class TestFunctionalTargetControllability:
@@ -172,8 +174,10 @@ class TestSolveMtcp:
 
     def test_prefer_small_index_builds_one_network(self):
         # candidate 3 has no path to a target and is passed over; without 1
-        # and 4 only 7 is linked, and the unsolvable answer comes from the
-        # same network
+        # and 4 only 7 is linked.  The Python kernel's greedy builds one
+        # network and solves it for the unsolvable answer; the CSR kernel's
+        # grows its flow on the node graph and builds none, and its
+        # unsolvable answer is maximum_linking's, from the same reading
         sys_ = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
                                 available=(1, 3, 4, 5), targets=(8, 9))
         short = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
@@ -192,15 +196,39 @@ class TestSolveMtcp:
                 count_networks(mp, calls, args[0].n)
                 return solve_mtcp(*args), calls
 
-        for result, calls in both_kernels(solve, sys_, True):
+        py, csr = both_kernels(solve, sys_, True)
+        for (result, calls), build in ((py, 1), (csr, 0)):
             assert result.steering == (1, 4)
-            assert calls == {"read": 1, "build": 1, "solve": 0,
+            assert calls == {"read": 1, "build": build, "solve": 0,
                              "max_linking_size": 0}
-        for result, calls in both_kernels(solve, short, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "CSR_MIN_ARCS", 0)
+            whole = falls_back(short.state_adjacency(), short.available,
+                               short.targets)
+        py, csr = both_kernels(solve, short, True)
+        for (result, calls), build in ((py, 1), (csr, int(whole))):
             assert result == solve_mtcp(short)
             assert result.best_linking.paths == ((7, 8),)
-            assert calls == {"read": 1, "build": 1, "solve": 1,
+            assert calls == {"read": 1, "build": build, "solve": 1,
                              "max_linking_size": 0}
+
+    def test_prefer_small_index_on_a_csr_sized_system(self):
+        # the greedy builds no network over the whole graph and runs no
+        # Dinic: every search is on the node graph of the kept edge index
+        sys_ = csr_sized_system()
+        calls = {"build": 0, "solve": 0, "dinic": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            count_networks(mp, calls, sys_.n)
+            mp.setattr(flow, "_dinic", counted(flow._dinic, calls, "dinic"))
+            result = solve_mtcp(sys_, prefer_small_index=True)
+        assert calls == {"build": 0, "solve": 0, "dinic": 0}
+        assert sys_.state_adjacency()._index is not None
+        p = len(sys_.targets)
+        assert result.steering == next(
+            combo for combo in combinations(sorted(sys_.available), p)
+            if flow.max_linking_size(sys_.state_adjacency(), combo,
+                                     sys_.targets) == p)
+        assert sorted(result.witness.start_nodes()) == list(result.steering)
 
     def test_requires_targets(self):
         with pytest.raises(ValidationError):

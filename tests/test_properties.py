@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 from netctrl import (
     StructuredSystem,
+    Unsolvable,
     build_auxiliary_graph,
     build_graph,
     instantiate,
@@ -26,6 +29,7 @@ from netctrl import (
     parse_system,
     preprocess_direct,
     serialize_system,
+    solve_mtcp,
     transfer_rank,
 )
 from netctrl import flow
@@ -295,10 +299,10 @@ def both_kernels(op, *args):
     """``op``'s answer from the pure-Python kernel and from the CSR kernel,
     each forced by moving the size cutoff that chooses between them; a
     ValueError that ``op`` raises is the answer, and must come before either
-    kernel is built.  Spies on each kernel's construction and on its solver
-    check that the forced kernel is the one that ran; the network kept by a
-    StateGraph, or by a system's state graph, in ``args`` is dropped before
-    each run, so that the run builds and solves its own."""
+    kernel is built.  Spies on each kernel's network, solver and searches
+    check that the forced kernel is the one that ran; the flow and the edge
+    index kept by a StateGraph, or by a system's state graph, in ``args``
+    are dropped before each run, so that the run builds its own."""
     answers = []
     for cutoff, forced, other in ((math.inf, "python", "csr"),
                                   (0, "csr", "python")):
@@ -306,12 +310,14 @@ def both_kernels(op, *args):
             if isinstance(arg, StructuredSystem):
                 arg = arg.state_adjacency()
             if isinstance(arg, flow.StateGraph):
-                arg._last_solved = None
+                arg._last_solved = arg._index = None
         calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
             for kernel, name in (("python", "_PyFlow"), ("python", "_solve"),
-                                 ("csr", "_CsrFlow"), ("csr", "maximum_flow")):
+                                 ("csr", "_dinic"), ("csr", "_edge_index"),
+                                 ("csr", "maximum_flow"),
+                                 ("csr", "breadth_first_order")):
                 mp.setattr(flow, name, counted(getattr(flow, name), calls, kernel))
             try:
                 answer = op(*args)
@@ -333,19 +339,20 @@ def counted(fn, calls, key):
     return spy
 
 
-# both kernels' classes, held here before any test replaces their names in
-# ``flow`` with a spy
-KERNELS = (flow._PyFlow, flow._CsrFlow)
+# the Python kernel's class and the reversed view of a CSR flow, held here
+# before any test replaces them with a spy
+PY_FLOW, REVERSED = flow._PyFlow, flow._NodeFlow.reversed
 
 
 def count_networks(mp, calls, n):
     """Count, through the MonkeyPatch ``mp``, the networks built over all
-    ``n`` labels of a graph on either kernel in ``calls["build"]``, and the
-    solves in ``calls["solve"]``: each kernel's ``solve()``, and each
-    sub-network solve outside one, which answers a question that reads
-    only the flow's value and paths without a network over the whole graph.
-    The CSR kernel runs Dinic on networks over parts of the graph: one may
-    be built within a solve, and nowhere else."""
+    ``n`` labels of a graph in ``calls["build"]``: the Python kernel's, and
+    the CSR kernel's, which :func:`flow._dinic` lays out and solves; and
+    the solves in ``calls["solve"]``: each Python network's ``solve()``, and
+    each sub-network solve outside one, which answers a question without a
+    network over the whole graph.  The CSR kernel runs Dinic on networks
+    over parts of the graph: one may be laid out within a solve, and
+    nowhere else."""
     solving = []
 
     def counted_solve(solve):
@@ -358,14 +365,17 @@ def count_networks(mp, calls, n):
                 solving.pop()
         return spy
 
-    for kernel in KERNELS:
-        def counted_build(net, labels, *rest, build=kernel.__init__):
-            assert len(labels) == n or solving
-            calls["build"] += len(labels) == n
-            build(net, labels, *rest)
+    def counted_build(build, size):
+        def spy(*args):
+            assert size(args) == n or solving
+            calls["build"] += size(args) == n
+            return build(*args)
+        return spy
 
-        mp.setattr(kernel, "__init__", counted_build)
-        mp.setattr(kernel, "solve", counted_solve(kernel.solve))
+    mp.setattr(PY_FLOW, "__init__",
+               counted_build(PY_FLOW.__init__, lambda args: len(args[1])))
+    mp.setattr(PY_FLOW, "solve", counted_solve(PY_FLOW.solve))
+    mp.setattr(flow, "_dinic", counted_build(flow._dinic, lambda args: args[0]))
     mp.setattr(flow, "_sub_solved", counted_solve(flow._sub_solved))
 
 
@@ -624,33 +634,158 @@ class TestOneNetwork:
             assert list(starts) == sorted(starts)
 
 
-def residual_matrix(net, open_sources=False):
-    """The residual graph of a CSR network's flow, built by scipy from its
-    (row, column) pairs: an arc with capacity left, and the reverse of an
-    arc carrying flow.  With ``open_sources`` the flow out of s is left
-    out."""
-    cap, flow_on = net.capacity, net.flow.copy()
-    if open_sources:
-        flow_on[cap.indptr[net.source]:cap.indptr[net.source + 1]] = 0
-    tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
-    room, carrying = flow_on < cap.data, flow_on > 0
-    rows = np.concatenate([tails[room], cap.indices[carrying]])
-    cols = np.concatenate([cap.indices[room], tails[carrying]])
-    return csr_array((np.ones(len(rows)), (rows, cols)), shape=cap.shape)
+def residual_of(n, tails, heads, sources, sinks, paths, open_sources=False,
+                fed=True, drained=False):
+    """The split network over the positions 0..n-1 with the edges
+    ``tails[k] -> heads[k]``, and the residual graph of a unit flow along
+    each of ``paths`` (lists of positions), both built here by scipy from
+    (row, column) pairs.  2k and 2k+1 are node k's halves, joined by an arc
+    of capacity 1; 2n is s, with an arc of capacity 1 (or ``big`` if
+    ``open_sources``) to each of ``sources``, and 2n+1 is t, with one of
+    capacity ``big`` from each of ``sinks``; edge arcs have ``big``, more
+    than any flow.  Each unit leaves s if ``fed`` and enters t if
+    ``drained``."""
+    s, t = 2 * n, 2 * n + 1
+    big = len(sources) + len(sinks) + 1
+    tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    sources, sinks = np.asarray(sources, dtype=np.int64), np.asarray(sinks, dtype=np.int64)
+    arcs = ((2 * np.arange(n), 2 * np.arange(n) + 1, 1),
+            (2 * tails + 1, 2 * heads, big),
+            (np.full(len(sources), s), 2 * sources, big if open_sources else 1),
+            (2 * sinks + 1, np.full(len(sinks), t), big))
+    rows, cols, caps = (np.concatenate(column) for column in zip(
+        *((r, c, np.full(len(r), cap)) for r, c, cap in arcs)))
+    capacity = csr_array((caps, (rows, cols)), shape=(t + 1, t + 1))
+    units = []
+    for path in paths:
+        halves = ([s] if fed else []) + [h for v in path
+                                         for h in (2 * v, 2 * v + 1)]
+        units += zip(halves, halves[1:] + ([t] if drained else []))
+    units = np.array(units, dtype=np.int64).reshape(-1, 2)
+    on = csr_array((np.ones(len(units)), (units[:, 0], units[:, 1])),
+                   shape=capacity.shape)
+    return capacity, positive(capacity - on + on.T)
 
 
-def residual_matrix_to_sink(net):
-    """``_CsrFlow.to_sink``'s answer from a search over the residual graph
-    reversed, built by scipy from its (row, column) pairs."""
-    backward = csr_array(residual_matrix(net).T)
-    return breadth_first_order(backward, net.sink, return_predecessors=True)[1]
+def positive(matrix):
+    """The pattern of the positive entries of a sparse matrix, as unit
+    arcs."""
+    matrix = csr_array(matrix)
+    matrix.data = (matrix.data > 0).astype(float)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def searched(graph, start):
+    """Mask of the nodes of ``graph`` that scipy's search from ``start``
+    reaches."""
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first_order(graph, start, return_predecessors=False)] = True
+    return mask
+
+
+def whole_network(graph, available, targets):
+    """The reference for the CSR kernel's answers: scipy's Dinic, called
+    here, on the split network over all of ``graph`` (see ``residual_of``,
+    source arcs of capacity 1), and searches over its residual graph, built
+    here from the capacity and the flow.  Holds the flow ``value``, the
+    ``essential`` set, the ``separator`` and the nodes ``reaching`` T."""
+    labels, sources, sinks, tails, heads = flow._flatten(graph, available,
+                                                         targets)
+    n = len(labels)
+    capacity, _ = residual_of(n, tails, heads, sources, sinks, [])
+    result = scipy_maximum_flow(capacity.astype(np.int32), 2 * n, 2 * n + 1,
+                                method="dinic")
+    residual = positive(capacity - result.flow)
+    opened = residual + csr_array(
+        (np.ones(len(sources)), (np.full(len(sources), 2 * n), 2 * sources)),
+        shape=capacity.shape)
+    labelled, open_labelled = searched(residual, 2 * n), searched(opened, 2 * n)
+    reach = searched(csr_array(capacity.T), 2 * n + 1)
+    return SimpleNamespace(
+        value=int(result.flow_value),
+        essential=frozenset(labels[k] for k in sources.tolist()
+                            if not labelled[2 * k]),
+        separator=frozenset(labels[k] for k in range(n)
+                            if open_labelled[2 * k]
+                            and not open_labelled[2 * k + 1]),
+        reaching=frozenset(labels[k] for k in range(n) if reach[2 * k]))
+
+
+def paths_of(solved):
+    """A _NodeFlow's paths, each as a list of positions."""
+    return [walk.tolist() for walk in np.split(solved.on, solved.firsts)[1:]]
+
+
+def edges_of(solved):
+    """The edges of a _NodeFlow's digraph, as (tails, heads), from the
+    successor rows of its index."""
+    (indptr, indices), _ = solved.index
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
+
+
+def assert_labelled(solved, open_sources):
+    """A _NodeFlow's search of its node graph against scipy's search from s
+    over the residual graph of its flow on its own split network, built by
+    ``residual_of`` with no t: each label's halves are reached exactly when
+    its node graph nodes are, and every predecessor step is a residual arc.
+    The node graph's own node of a label is its first half; a path node's
+    extra node is its second half, and a label off the paths is one node
+    for both.  Returns the mask of the halves reached."""
+    n, on = len(solved.labels), solved.on.tolist()
+    _, residual = residual_of(n, *edges_of(solved), solved.sources, [],
+                              paths_of(solved), open_sources)
+    reached = searched(residual, 2 * n)
+    pred = solved._labelled(open_sources)
+    root = n + len(on)
+    assert len(pred) == root + 1
+    second = np.arange(n)
+    for j, v in enumerate(on):
+        second[v] = n + j
+    mask = pred >= 0
+    mask[root] = True
+    np.testing.assert_array_equal(reached[0:2 * n:2], mask[:n])
+    np.testing.assert_array_equal(reached[1:2 * n:2], mask[second])
+    # each predecessor step is a residual arc: out of the half that the
+    # node's row leaves (a path node's own row its first half, any other
+    # row a second half, s's s) into the half that the node stands for
+    leaves = 2 * np.arange(n) + 1
+    leaves[solved.on] -= 1
+    leaves = np.concatenate([leaves, 2 * solved.on + 1, [2 * n]])
+    enters = np.concatenate([2 * np.arange(n), 2 * solved.on + 1])
+    reached_nodes = np.flatnonzero(pred >= 0)
+    if len(reached_nodes):
+        assert np.all(residual[leaves[pred[reached_nodes]],
+                               enters[reached_nodes]] > 0)
+    return reached
+
+
+def assert_backward_search(solved):
+    """The search of a _NodeFlow's reversed view, with every sink arc open,
+    against scipy's search from t over the residual graph of its flow,
+    reversed, on the network over the graph with no flow on a source arc:
+    each label's entry half reaches t exactly when the view's search
+    reaches its second half, and its exit half when its own node.  The view
+    is checked on its own network by ``assert_labelled`` too."""
+    n = len(solved.labels)
+    _, residual = residual_of(n, *edges_of(solved), solved.sources,
+                              solved.sinks, paths_of(solved), fed=False,
+                              drained=True)
+    reaching = searched(csr_array(residual.T), 2 * n + 1)
+    view = REVERSED(solved)
+    assert paths_of(view) == [walk[::-1] for walk in paths_of(solved)]
+    reached = assert_labelled(view, open_sources=True)
+    np.testing.assert_array_equal(reaching[0:2 * n:2], reached[1:2 * n:2])
+    np.testing.assert_array_equal(reaching[1:2 * n:2], reached[0:2 * n:2])
+    return reaching
 
 
 def solved_csr_networks(seed, count):
-    """Random systems, each with its network solved by the CSR kernel (the
-    caller forces it with ``CSR_MIN_ARCS = 0``): Dinic runs from the sink
-    (|T| < |A|) on even draws and from the source on odd ones.  Self-loops
-    and nodes both available and targeted come up among them."""
+    """Random systems, each with the flow that the CSR kernel finds and
+    keeps (the caller forces the kernel with ``CSR_MIN_ARCS = 0``): Dinic
+    runs from the sink (|T| < |A|) on even draws and from the source on odd
+    ones.  Self-loops and nodes both available and targeted come up among
+    them."""
     rng = random.Random(seed)
     for k in range(count):
         while True:
@@ -658,27 +793,11 @@ def solved_csr_networks(seed, count):
                                  max_targets=10, edge_factor=2.5)
             if (len(sys_.targets) < len(sys_.available)) == (k % 2 == 0):
                 break
-        net = flow._network(*flow._flatten(sys_.state_adjacency(),
-                                           sys_.available, sys_.targets))
-        assert isinstance(net, flow._CsrFlow)
-        net.solve()
-        yield sys_, net
-
-
-def test_find_positions_and_insertion_points():
-    # rows: 0 holds 1, 3, 5; 1 is empty; 2 holds 0, 4; 3 holds 2, 6
-    graph = csr_array((np.ones(7), np.array([1, 3, 5, 0, 4, 2, 6]),
-                       np.array([0, 3, 3, 5, 7])), shape=(4, 8))
-    present = [(0, 1, 0), (0, 3, 1), (0, 5, 2), (2, 0, 3), (2, 4, 4),
-               (3, 2, 5), (3, 6, 6)]
-    # an absent entry goes before the first larger column of its own row, or
-    # at the row's end: past column 5 of row 0, into the empty row 1, and
-    # past the last row's end
-    absent = [(0, 0, 0), (0, 4, 2), (0, 7, 3), (1, 0, 3), (1, 7, 3),
-              (2, 2, 4), (2, 7, 5), (3, 0, 5), (3, 4, 6), (3, 7, 7)]
-    rows, cols, expected = np.array(present + absent).T
-    np.testing.assert_array_equal(flow._find(graph, rows, cols), expected)
-    assert flow._find(graph, rows[:0], cols[:0]).shape == (0,)
+        graph = sys_.state_adjacency()
+        solved = flow._solved(graph, flow._flatten(graph, sys_.available,
+                                                   sys_.targets))
+        assert isinstance(solved, flow._NodeFlow)
+        yield sys_, solved
 
 
 def nx_labelled(adj, available, targets, open_sources):
@@ -745,7 +864,7 @@ class TestNodeGraphLabellings:
         assert separators == [separator] * 2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", 0)
-            solved = flow._solved(adj, available, targets)
+            solved = flow._solved(adj, flow._flatten(adj, available, targets))
         assert isinstance(solved, flow._NodeFlow)
         return set(flow._labels_at(sorted(adj), solved.on))
 
@@ -784,151 +903,95 @@ class TestNodeGraphLabellings:
 
 
 class TestSolvedCsrNetwork:
-    """The CSR kernel's flow, mapped onto the network's own arcs after
-    Dinic, in both directions: a 0/1 flow that networkx confirms, and
-    residual searches that agree with scipy's matrix of the residual
-    graph."""
+    """The CSR kernel's flow, Dinic's paths kept as their nodes, in both
+    directions: paths that networkx confirms maximum, and searches of the
+    node graph that agree with scipy's over the residual graph."""
 
     def test_flow_layout(self, monkeypatch):
         monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
-        for sys_, net in solved_csr_networks(31, 120):
-            cap, on = net.capacity, net.flow
-            assert on.shape == cap.data.shape
-            assert set(np.unique(on).tolist()) <= {0, 1}
-            assert np.all(on <= cap.data)
-            tails = np.repeat(np.arange(cap.shape[0]), np.diff(cap.indptr))
-            np.testing.assert_array_equal(
-                flow._find(cap, tails, cap.indices), np.arange(cap.nnz))
-            out = np.bincount(tails, weights=on, minlength=cap.shape[0])
-            into = np.bincount(cap.indices, weights=on, minlength=cap.shape[0])
-            np.testing.assert_array_equal(out[:net.source], into[:net.source])
-            assert out[net.source] == into[net.sink] == net.value
-            aux = nx.DiGraph()
-            aux.add_weighted_edges_from(
-                zip(tails.tolist(), cap.indices.tolist(), cap.data.tolist()),
-                weight="capacity")
-            aux.add_nodes_from((net.source, net.sink))
-            assert net.value == nx.maximum_flow_value(aux, net.source, net.sink)
-            paths = net.paths()
-            assert len(paths) == net.value
+        for sys_, solved in solved_csr_networks(31, 120):
+            adj = sys_.state_adjacency()
+            assert solved.value == nx_linking_size(adj, sys_.available,
+                                                   sys_.targets)
+            paths = solved.paths()
+            assert len(paths) == solved.value == len(solved.firsts)
             nodes = [v for path in paths for v in path]
-            assert len(nodes) == len(set(nodes))
+            assert len(nodes) == len(set(nodes)) == len(solved.on)
             edges = set(sys_.state_edges)
             for path in paths:
                 assert path[0] in sys_.available and path[-1] in sys_.targets
                 assert all(edge in edges for edge in zip(path, path[1:]))
+            # Dinic on the whole network, laid out and solved alone
+            labels, sources, sinks, tails, heads = flow._flatten(
+                adj, sys_.available, sys_.targets)
+            whole = flow._dinic(len(labels), sources, sinks, tails, heads)
+            assert len(whole) == solved.value
 
     def test_residual_searches(self, monkeypatch):
         monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
         seen = {"self_loop": 0, "shared": 0}
-        for sys_, net in solved_csr_networks(32, 120):
+        for sys_, solved in solved_csr_networks(32, 120):
             seen["self_loop"] += any(u == v for u, v in sys_.state_edges)
             seen["shared"] += bool(set(sys_.available) & set(sys_.targets))
-            assert_residual_searches(net)
+            assert_residual_searches(solved, sys_.state_adjacency(),
+                                     sys_.available, sys_.targets)
         assert seen["self_loop"] >= 20 and seen["shared"] >= 20
 
     def test_searches_past_int32_pair_keys(self, monkeypatch):
         # 30 000 nodes make 60 002 half nodes, and the pair (u, v) of them
         # read as u * 60 002 + v passes 2**31 from u = 35 791 on: the
-        # residual graphs and the greedy's searches must not depend on it
+        # labellings and the greedy's searches must not depend on it
         rng = np.random.default_rng(34)
         n = 30_000
         succ = [set() for _ in range(n)]
         for u, v in zip(*rng.integers(0, n, (2, 3 * n)).tolist()):
             succ[u].add(v)
         adj = {v: tuple(sorted(heads)) for v, heads in enumerate(succ)}
-        to_sink, searches = flow._CsrFlow.to_sink, []
-
-        def checked(net):
-            hops = to_sink(net)
-            np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
-            searches.append(net)
-            return hops
-
-        monkeypatch.setattr(flow._CsrFlow, "to_sink", checked)
+        searches = checked_backward_searches(monkeypatch)
         # Dinic from the sink (|T| < |A|), then from the source
         for n_targets in (6, 200):
             nodes = rng.choice(n, 150 + n_targets, replace=False)
             available = tuple(sorted(nodes[:150].tolist()))
             targets = tuple(sorted(nodes[150:].tolist()))
-            net = flow._network(*flow._flatten(adj, available, targets))
-            assert isinstance(net, flow._CsrFlow)
-            net.solve()
-            assert_residual_searches(net)
+            solved = flow._solved(adj, flow._flatten(adj, available, targets))
+            assert isinstance(solved, flow._NodeFlow)
+            assert_residual_searches(solved, adj, available, targets)
             basis, linking = lexicographic_basis(adj, available, targets)
-            assert len(basis) == net.value
+            assert len(basis) == solved.value
             assert_valid_linking(linking, adj, available, targets)
-            assert linking.size == net.value
+            assert linking.size == solved.value
         assert len(searches) >= 2 * 6
 
 
-def residual_labelling(net, open_sources=False):
-    """Mask of the halves of a solved CSR network that a search from s
-    over scipy's matrix of its residual graph reaches."""
-    mask = np.zeros(net.sink + 1, dtype=bool)
-    mask[breadth_first_order(residual_matrix(net, open_sources), net.source,
-                             return_predecessors=False)] = True
-    return mask
-
-
-def residual_essential(net):
-    """The available nodes whose entry half the residual search misses."""
-    mask = residual_labelling(net)
-    return frozenset(net.labels[k]
-                     for k in net.sources[~mask[2 * net.sources]].tolist())
-
-
-def residual_separator(net):
-    """The nodes whose entry half the residual search with every source arc
-    open reaches, and whose exit half it misses."""
-    mask = residual_labelling(net, open_sources=True)
-    cut = mask[0:net.source:2] & ~mask[1:net.source:2]
-    return frozenset(net.labels[k] for k in np.flatnonzero(cut).tolist())
-
-
-def node_flow(net):
-    """A solved CSR network's flow as the kernel keeps it, over the same
-    labels."""
-    position = flow._indexer(net.labels)
-    return flow._NodeFlow(
-        net.labels, net.sources, net.sinks,
-        flow._edge_index(len(net.labels), *net.edges),
-        [[position(v) for v in path] for path in net.paths()])
-
-
-def assert_residual_searches(net):
-    """A solved CSR network's labellings on the node graph, against searches
-    over scipy's matrices of its residual graph and of the network reversed;
-    its residual graphs and backward search, against those matrices."""
-    solved = node_flow(net)
-    assert solved.value == net.value
-    assert solved.essential() == residual_essential(net)
-    assert solved.separator() == residual_separator(net)
-    reach = np.zeros(net.sink + 1, dtype=bool)
-    reach[breadth_first_order(csr_array(net.capacity.T), net.sink,
-                              return_predecessors=False)] = True
-    nodes = np.arange(len(net.labels))
-    assert solved.reaches_target(nodes) == [net.labels[k] for k in nodes
-                                            if reach[2 * k]]
-    np.testing.assert_array_equal(net.to_sink(), residual_matrix_to_sink(net))
+def assert_residual_searches(solved, graph, available, targets):
+    """A CSR flow's labellings on the node graph against the reference
+    network's (``whole_network``), and its searches, forward and on the
+    reversed view, against scipy's over its residual graph."""
+    ref = whole_network(graph, available, targets)
+    assert solved.value == ref.value
+    assert solved.essential() == ref.essential
+    assert solved.separator() == ref.separator
+    nodes = np.arange(len(solved.labels))
+    assert frozenset(solved.reaches_target(nodes)) == ref.reaching
+    for open_sources in (False, True):
+        assert_labelled(solved, open_sources)
     # a maximum flow leaves no residual path from s to t
-    assert net.to_sink()[net.source] < 0
-    # each residual graph the searches run on holds the residual matrix's
-    # entries, a pair entered twice as often, with every row's columns
-    # ascending
-    for graph, matrix in (
-            (net._residual(False), residual_matrix(net)),
-            (net._residual(True), csr_array(residual_matrix(net).T))):
-        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
-        assert np.all((np.diff(graph.indices) >= 0) | (np.diff(rows) > 0))
-        assert np.all(graph.data == 1)
-        matrix.sum_duplicates()
-        times = matrix.data.astype(np.int64)
-        np.testing.assert_array_equal(rows, np.repeat(
-            np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)),
-            times))
-        np.testing.assert_array_equal(graph.indices,
-                                      np.repeat(matrix.indices, times))
+    assert not assert_backward_search(solved)[2 * len(solved.labels)]
+
+
+def checked_backward_searches(monkeypatch):
+    """A list that records, for each backward search of the CSR greedy (and
+    of a sub-network's cut rule), the flow it searched, after checking the
+    search with ``assert_backward_search``."""
+    searches = []
+
+    def checked(solved):
+        searches.append(solved)
+        assert_backward_search(solved)
+        return REVERSED(solved)
+
+    monkeypatch.setattr(flow._NodeFlow, "reversed", checked)
+    return searches
 
 
 def first_basis(adj, available, targets):
@@ -1001,18 +1064,10 @@ class TestLexicographicBasis:
             assert linking.paths == ((1, 3, 5), (2,))
 
     def test_backward_search_sees_the_residual_matrix(self, monkeypatch):
-        # the CSR kernel edits the reversed arcs into the residual graph
-        # reversed; its search must take the rows in the order of the matrix
-        # built from the residual graph's (row, column) pairs
-        to_sink, searches = flow._CsrFlow.to_sink, []
-
-        def checked(net):
-            hops = to_sink(net)
-            np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
-            searches.append(net)
-            return hops
-
-        monkeypatch.setattr(flow._CsrFlow, "to_sink", checked)
+        # every backward search of the CSR greedy, a search of the reversed
+        # view of its flow, reaches the halves that scipy's search over the
+        # residual graph reaches, along residual arcs
+        searches = checked_backward_searches(monkeypatch)
         monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
         rng = random.Random(18)
         for _ in range(60):
@@ -1022,23 +1077,94 @@ class TestLexicographicBasis:
                                 sys_.targets)
         assert len(searches) >= 100
 
-    def test_backward_search_takes_rows_in_column_order(self, monkeypatch):
-        # one unit runs 5, 1, 3 to the target 3; searching back from t, 1's
-        # entry half reaches 1's exit half (over the carrying split arc) and
-        # 2's (over the edge 2 -> 1) at one level.  4 has edges to 3 and 2,
-        # so 4's exit half is reached next from 3's entry half or from 2's,
-        # whichever the search met first: 3's, since 1's exit half comes
-        # before 2's in the row of 1's entry half.
-        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+    def test_backward_search_on_a_hand_built_flow(self):
+        # one unit runs 5, 1, 3 to the target 3.  Searching back from t, 4
+        # reaches t over 2 or over 3's entry half.  2 is on no path, so it
+        # is one node of the node graph, and the way over it (4+ -> 2-, 2+
+        # -> 1-) is a step shorter than over 3's halves (4+ -> 3-, 3- ->
+        # 1+, 1+ -> 1-): 4 is reached from 2.
         adj = {1: (3,), 2: (1,), 3: (), 4: (2, 3), 5: (1, 6), 6: ()}
-        net = flow._network(*flow._flatten(adj, (5,), (3, 6)))
-        # halves: k- = 2(k - 1) and k+ = 2k - 1, the sink 13
-        tails, heads = np.array([(8, 9), (9, 0), (0, 1), (1, 4), (4, 5),
-                                 (5, 13)]).T
-        net.flow[flow._find(net.capacity, tails, heads)] = 1
-        hops = net.to_sink()
-        np.testing.assert_array_equal(hops, residual_matrix_to_sink(net))
-        assert hops[7] == 4
+        labels, sources, sinks, tails, heads = flow._flatten(adj, (5,), (3, 6))
+        solved = flow._NodeFlow(labels, sources, sinks,
+                                flow._edge_index(6, tails, heads), [[4, 0, 2]])
+        reaching = assert_backward_search(solved)
+        # every half but 5's entry half, and s, reaches t
+        assert np.flatnonzero(~reaching).tolist() == [8, 12]
+        view = solved.reversed()
+        # the view's nodes: 0-5 per label, 6-8 the entry halves of 3, 1, 5
+        assert view.on.tolist() == [2, 0, 4]
+        assert view._labelled(True).tolist() == [7, 7, 9, 1, 5, 9, 0, 4,
+                                                 -9999, -9999]
+
+    def test_greedy_with_self_loops_on_the_paths(self, monkeypatch):
+        # both kernels' bases against enumeration on graphs where many
+        # nodes have self-loops: the CSR greedy's steps walk self-looped
+        # path nodes, whose halves have arcs both ways, and take candidates
+        # that are inner nodes or ends of earlier paths.  Each graph has a
+        # detour 1 -> x -> y -> t2 beside 1 -> 2 -> t1, so 1's first path
+        # often runs through the candidate 2, which then reroutes it.
+        searches = checked_backward_searches(monkeypatch)
+        rng = random.Random(19)
+        seen = {"looped": 0, "inner": 0, "end": 0, "solvable": 0}
+        for _ in range(250):
+            n = rng.randint(6, 12)
+            x, y, t1, t2 = rng.sample(range(3, n + 1), 4)
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(0, n))}
+            edges |= {(1, 2), (2, t1), (1, x), (x, y), (y, t2)}
+            loops = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            edges |= {(v, v) for v in loops}
+            adj = {v: tuple(sorted(w for u, w in edges if u == v))
+                   for v in range(1, n + 1)}
+            available = sorted({1, 2} | set(rng.sample(range(1, n + 1),
+                                                       rng.randint(0, n))))
+            targets = sorted({t1, t2} | set(rng.sample(range(1, n + 1),
+                                                       rng.randint(0, 2))))
+            searches.clear()
+            basis = self.check(adj, available, targets)
+            assert basis == first_basis(adj, available, targets)
+            if len(basis) == len(targets):
+                seen["solvable"] += 1
+                assert bf_is_admissible(adj, basis, targets)
+            # the greedy's searches, on the whole graph, and the candidate
+            # that each push took, on the flow before it
+            steps = [flow_ for flow_ in searches if len(flow_.labels) == n]
+            for before, after in zip(steps, steps[1:]):
+                taken, = set(after.on[after.firsts].tolist()) - set(
+                    before.on[before.firsts].tolist())
+                if taken in before.on:
+                    last = np.append(before.firsts[1:], len(before.on)) - 1
+                    seen["end" if taken in before.on[last] else "inner"] += 1
+            seen["looped"] += sum(bool(loops & {v + 1 for v in step.on.tolist()})
+                                  for step in steps)
+        assert seen["looped"] >= 100 and min(seen.values()) >= 20, seen
+
+    def test_basis_is_gale_below_the_plain_steering_set(self):
+        # on 3000-node graphs the lexicographic basis is, node by node in
+        # ascending order, never above plain solve's steering set
+        rng = random.Random(20)
+        checked = 0
+        for _ in range(5):
+            n = 3000
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(3 * n)}
+            sys_ = StructuredSystem(
+                n=n, state_edges=tuple(edges),
+                available=tuple(rng.sample(range(1, n + 1), 60)),
+                targets=tuple(rng.sample(range(1, n + 1), 8)))
+            lexi = solve_mtcp(sys_, prefer_small_index=True)
+            plain = solve_mtcp(sys_)
+            if isinstance(plain, Unsolvable):
+                assert lexi == plain
+                continue
+            assert all(a <= b for a, b in zip(sorted(lexi.steering),
+                                                sorted(plain.steering)))
+            adj = sys_.state_adjacency()
+            assert_valid_linking(lexi.witness, adj, lexi.steering,
+                                 sys_.targets)
+            assert lexi.witness.size == len(sys_.targets)
+            checked += 1
+        assert checked >= 3
 
     def test_rerouting_around_a_self_loop(self):
         # 1's shortest path runs 8, 17, 7; taking 2 frees 7 by sending 1 back
@@ -1058,31 +1184,23 @@ class TestLexicographicBasis:
 
 def dinic_runs(monkeypatch):
     """A list that records, for each run of Dinic on a CSR network, how
-    many labels the network has, and one that records, for each residual
-    graph built, its network's labels and whether it is reversed."""
-    runs, residuals = [], []
-    kernel = KERNELS[1]
-    dinic, residual = kernel._dinic, kernel._residual
+    many nodes the network is over, and one that records, for each search
+    of a node graph, its labels' count and whether every source arc is
+    open."""
+    runs, searches = [], []
+    dinic, labelled = flow._dinic, flow._NodeFlow._labelled
 
-    def counted_dinic(net):
-        runs.append(len(net.labels))
-        return dinic(net)
+    def counted_dinic(n, *args):
+        runs.append(n)
+        return dinic(n, *args)
 
-    def counted_residual(net, backward):
-        residuals.append((len(net.labels), backward))
-        return residual(net, backward)
+    def counted_labelled(solved, open_sources):
+        searches.append((len(solved.labels), open_sources))
+        return labelled(solved, open_sources)
 
-    monkeypatch.setattr(kernel, "_dinic", counted_dinic)
-    monkeypatch.setattr(kernel, "_residual", counted_residual)
-    return runs, residuals
-
-
-def whole_network(graph, available, targets):
-    """The CSR network over all of ``graph``, with Dinic's maximum flow on
-    all of it: the reference for the sub-network's answers."""
-    net = flow._CsrFlow(*flow._flatten(graph, available, targets))
-    net._dinic()
-    return net
+    monkeypatch.setattr(flow, "_dinic", counted_dinic)
+    monkeypatch.setattr(flow._NodeFlow, "_labelled", counted_labelled)
+    return runs, searches
 
 
 def funnel(reverse):
@@ -1186,10 +1304,9 @@ class TestSubNetworkSolve:
         assert max_linking_size(graph, available, targets) == ref.value
         solved = list(runs)
         runs.clear()
-        assert (minimal_left_separator(graph, available, targets)
-                == residual_separator(ref))
+        assert minimal_left_separator(graph, available, targets) == ref.separator
         value, essential, _ = essential_start_analysis(graph, available, targets)
-        assert (value, essential) == (ref.value, residual_essential(ref))
+        assert (value, essential) == (ref.value, ref.essential)
         linking = maximum_linking(graph, available, targets)
         assert linking.size == ref.value
         assert_valid_linking(linking, graph, available, targets)
@@ -1226,15 +1343,16 @@ class TestSubNetworkSolve:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_regrown_until_a_cut_proves_it(self, monkeypatch, reverse):
         monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
-        runs, residuals = dinic_runs(monkeypatch)
+        runs, searches = dinic_runs(monkeypatch)
         adj, available, targets = funnel(reverse)
         assert max_linking_size(adj, available, targets) == 2
         # the first sub-network's flow is 1; a regrown one's is 2, and a cut
         # proves it maximum before W holds half the nodes
         assert len(runs) >= 2 and runs[-1] < len(adj) / 2
         # the cut near T is tried first and accepts alone; the cut near A is
-        # tried after it
-        assert [backward for size, backward in residuals
+        # tried after it.  The search from t is the reversed view's, with
+        # every sink arc open; the one from s has unit source arcs.
+        assert [from_t for size, from_t in searches
                 if size == runs[-1]] == ([True, False] if reverse else [True])
         self.check(adj, available, targets, runs)
 
@@ -1294,10 +1412,10 @@ class TestSubNetworkSolve:
                 runs.clear()
                 answer = question(graph, available, targets)
                 if question is minimal_left_separator:
-                    assert answer == residual_separator(ref)
+                    assert answer == ref.separator
                     continue
                 if question is essential_start_analysis:
-                    assert answer[:2] == (ref.value, residual_essential(ref))
+                    assert answer[:2] == (ref.value, ref.essential)
                     continue
                 value = answer if question is max_linking_size else answer.size
                 assert value == ref.value == nx_linking_size(graph, available,
