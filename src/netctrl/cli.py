@@ -62,7 +62,7 @@ def _default_seed() -> int:
 
 
 def _load(path: str) -> StructuredSystem:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -77,14 +77,12 @@ set; the linkings they return are both maximum but may differ.
 A maximum bipartite matching is a linking from the columns into the rows
 (:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
 Python kernel's flow, one flow path per matched pair, and from there on
-scipy's Hopcroft-Karp finds it.  scipy is imported only when the first
-network, search or matching of CSR size is built (:func:`_load_scipy`), so
-a process that asks only small questions never loads it.
+scipy's Hopcroft-Karp finds it.  Each function that calls scipy imports
+it in its body, so a process that asks only small questions never loads it.
 """
 
 from __future__ import annotations
 
-import importlib
 import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -109,29 +107,6 @@ CSR_MIN_ARCS = 1000
 
 class PreconditionError(NetctrlError, RuntimeError):
     """A caller-supplied object violates an operation's precondition."""
-
-
-# scipy's functions of the CSR kernel, by module, which _load_scipy() imports
-# when the first CSR-sized network, search or matching needs them
-_SCIPY = {"csr_array": "scipy.sparse",
-          "breadth_first_order": "scipy.sparse.csgraph",
-          "maximum_bipartite_matching": "scipy.sparse.csgraph",
-          "maximum_flow": "scipy.sparse.csgraph"}
-
-
-def _load_scipy() -> None:
-    """Import the functions of ``_SCIPY`` that this module does not hold yet."""
-    for name, module in _SCIPY.items():
-        if name not in globals():
-            globals()[name] = getattr(importlib.import_module(module), name)
-
-
-def __getattr__(name):
-    # ``flow.maximum_flow`` and the other scipy names load scipy when read
-    if name in _SCIPY:
-        _load_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +622,8 @@ def _dinic(n: int, sources: np.ndarray, sinks: np.ndarray, tails: np.ndarray,
     graph: from the sink on the reversed network, whose flow is the forward
     one read backwards.  Every split arc carries at most one unit, so each
     half node on a path has one successor on it."""
-    _load_scipy()
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
     source, sink = 2 * n, 2 * n + 1
     out_edges = np.bincount(tails, minlength=n)
     row_len = np.zeros(2 * n + 2, dtype=np.int64)
@@ -736,16 +712,16 @@ class _NodeFlow:
         order = np.argsort(on)
         rows, back = on[order], back[order]
         size = len(indices) + len(rows)
-        graph = _graph(np.concatenate([indptr + _below(rows, n),
-                                       size + np.cumsum(out + 1),
-                                       [size + len(exits) + len(fed)]],
-                                      dtype=np.int32),
-                       np.insert(indices, np.append(indptr[rows], np.full(
-                           len(exits) + len(fed), len(indices))),
-                                 np.concatenate([back, exits, fed])))
-        at, counts = _entries(graph.indptr, rows)
-        graph.indices[at] = np.repeat(back, counts)
-        return breadth_first_order(graph, s, return_predecessors=True)[1]
+        rowptr = np.concatenate([indptr + _below(rows, n),
+                                 size + np.cumsum(out + 1),
+                                 [size + len(exits) + len(fed)]],
+                                dtype=np.int32)
+        where = np.append(indptr[rows],
+                          np.full(len(exits) + len(fed), len(indices)))
+        columns = np.insert(indices, where, np.concatenate([back, exits, fed]))
+        at, counts = _entries(rowptr, rows)
+        columns[at] = np.repeat(back, counts)
+        return _bfs(rowptr, columns, s)
 
     def _second_halves(self) -> np.ndarray:
         """Per label, its node of the node graph for the half after its
@@ -787,7 +763,6 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
         for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
             adj[u].append((arc, v))
         return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
-    _load_scipy()
     return _reached_from(_below(tails, n), heads,
                          np.asarray(starts, dtype=np.int64))
 
@@ -798,9 +773,19 @@ def _reached_from(indptr: np.ndarray, indices: np.ndarray,
     from the nodes ``starts``: scipy's search from a node after them with
     an arc to each."""
     n = len(indptr) - 1
-    graph = _graph(np.append(indptr, indptr[-1] + len(starts)),
-                   np.concatenate([indices, starts], dtype=np.int32))
-    return breadth_first_order(graph, n, return_predecessors=True)[1][:n] >= 0
+    return _bfs(np.append(indptr, indptr[-1] + len(starts)),
+                np.concatenate([indices, starts], dtype=np.int32), n)[:n] >= 0
+
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
+    """Per node of the square CSR index ``(indptr, indices)`` of unit arcs,
+    the one from which scipy's breadth-first search from ``start`` reached
+    it, negative if it did not."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+    n = len(indptr) - 1
+    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return breadth_first_order(graph, start, return_predecessors=True)[1]
 
 
 def _edge_index(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
@@ -808,7 +793,7 @@ def _edge_index(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
     the edges ``tails[k] -> heads[k]``, sorted by tail, then head, each as
     the (indptr, indices) of a CSR array over positions, rows ascending:
     ``heads`` itself, and its transpose by scipy's counting sort."""
-    _load_scipy()
+    from scipy.sparse import csr_array
     starts = _below(tails, n)
     backward = csr_array((np.ones(len(heads), dtype=np.int8), heads, starts),
                          shape=(n, n)).T.tocsr()
@@ -945,13 +930,6 @@ def _below(rows: np.ndarray, n: int) -> np.ndarray:
     """Per r in 0..n, how many of the ascending ``rows`` are below r."""
     return np.repeat(np.arange(len(rows) + 1, dtype=np.int32),
                      np.diff(rows, prepend=-1, append=n))
-
-
-def _graph(indptr: np.ndarray, indices: np.ndarray) -> csr_array:
-    """The square CSR array of unit arcs with these row pointers and
-    columns."""
-    return csr_array((np.ones(len(indices)), indices, indptr),
-                     shape=(len(indptr) - 1, len(indptr) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1115,8 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
     in a fifth of the time of the Dinic flow on a 100 000-row pattern.
     """
     if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
-        _load_scipy()
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import maximum_bipartite_matching
         pattern = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)),
                             shape=(n_rows, n_cols))
         return np.asarray(maximum_bipartite_matching(pattern, perm_type="column"))

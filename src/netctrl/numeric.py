@@ -11,6 +11,7 @@ demonstration of functional controllability.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -123,27 +124,27 @@ def numeric_rank(
     return int((sv > rel_tol * sv[0]).sum())
 
 
-def _ctrb_blocks(A: np.ndarray, B: np.ndarray) -> list[np.ndarray]:
-    """Blocks B, AB, ..., A^(n-1)B, each rescaled to unit Frobenius norm.
+def _ctrb_blocks(A: np.ndarray, B: np.ndarray) -> Iterator[np.ndarray]:
+    """Blocks B, AB, ..., A^(n-1)B, each after the first being A times the
+    one before it rescaled to unit Frobenius norm, yielded one at a time so
+    that a caller holds only those it keeps.
 
     Per-block scaling multiplies column groups by positive scalars, which
     leaves the rank unchanged while containing the growth of matrix powers.
     """
     n = A.shape[0]
-    blocks = []
     X = B.copy()
     for _ in range(n):
-        blocks.append(X)
+        yield X
         norm = np.linalg.norm(X)
         if norm > 0:
             X = X / norm
         X = A @ X
-    return blocks
 
 
 def state_ctrb_rank(inst: NumericInstance, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Numeric rank of the Kalman controllability matrix [B, AB, ...]."""
-    return numeric_rank(np.hstack(_ctrb_blocks(inst.A, inst.B)), rel_tol)
+    return numeric_rank(np.hstack(list(_ctrb_blocks(inst.A, inst.B))), rel_tol)
 
 
 def pointwise_output_ctrb_rank(
@@ -154,8 +155,8 @@ def pointwise_output_ctrb_rank(
     The instance is point-wise output controllable iff this equals the number
     of outputs.
     """
-    blocks = [inst.C @ X for X in _ctrb_blocks(inst.A, inst.B)]
-    return numeric_rank(np.hstack(blocks), rel_tol)
+    return numeric_rank(np.hstack([inst.C @ X for X in
+                                   _ctrb_blocks(inst.A, inst.B)]), rel_tol)
 
 
 def transfer_rank(inst: NumericInstance, rel_tol: float = DEFAULT_REL_TOL) -> int:

@@ -266,6 +266,20 @@ class TestErrorsAndDeterminism:
         assert main(["separator", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["separator"] == ["x1", "x5"]
 
+    @pytest.mark.parametrize("form", ["lines", "json"])
+    def test_byte_order_mark(self, tmp_path, steering_system, form, capsys):
+        from netctrl import system_to_json
+
+        text = (STEERING_TEXT if form == "lines"
+                else system_to_json(steering_system))
+        path = tmp_path / "steering.sys"
+        answers = []
+        for start in ("", "\ufeff"):
+            path.write_text(start + text, encoding="utf-8")
+            answers.append((main(["classify", str(path), "--json"]),
+                            capsys.readouterr()))
+        assert answers[0][0] == 0 and answers[1] == answers[0]
+
 
 class TestRejectedRequests:
     """Requests that cannot be answered exit 2 with one line on stderr;

@@ -11,7 +11,8 @@ from netctrl import flow
 ROOT = Path(__file__).resolve().parent.parent
 
 # every question kind on the three samples, then a CSR-sized question and a
-# tracked trajectory; prints the scipy modules loaded after each part
+# tracked trajectory; prints the scipy modules loaded after each part, and
+# the names that the CSR-sized questions added to or took from flow's module
 SCRIPT = r"""
 import json, sys
 import netctrl
@@ -38,6 +39,7 @@ for name in ("chain", "network", "steering"):
         netctrl.is_functional_output_controllable(s)
     numeric.cross_validate(s, trials=2)
 small = scipy_modules()
+names = set(vars(flow))
 
 n = flow.CSR_MIN_ARCS
 chain = tuple((i, i + 1) for i in range(1, n))
@@ -51,6 +53,7 @@ print(json.dumps({
     "small": small,
     "steering": netctrl.solve_mtcp(large).steering,
     "rank": netctrl.is_structurally_controllable(large).generic_rank,
+    "flow_names": sorted(names ^ set(vars(flow))),
     "max_error": numeric.track_trajectory(inst, task).max_error,
     "large": scipy_modules(),
 }))
@@ -67,5 +70,6 @@ def test_small_questions_load_no_scipy():
     assert answers["small"] == []
     assert answers["steering"] == [1]
     assert answers["rank"] == flow.CSR_MIN_ARCS
+    assert answers["flow_names"] == []
     assert answers["max_error"] < 1e-2
     assert {"scipy.sparse.csgraph", "scipy.linalg"} <= set(answers["large"])

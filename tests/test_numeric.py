@@ -1,6 +1,7 @@
 """Numeric oracle: instantiation, ranks, transfer-matrix sampling, tracking."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,22 @@ class TestPointwiseRanks:
     def test_chain_state_rank_is_three(self, chain_system):
         for seed in range(25):
             assert state_ctrb_rank(instantiate(chain_system, seed=seed)) == 3
+
+    def test_output_rank_holds_one_state_block(self):
+        # C [B, AB, ...] is built block by block: the n x m blocks A^k B,
+        # 12.8 MB here, are never held together
+        n, m, p = 400, 10, 4
+        rng = np.random.default_rng(3)
+        inst = NumericInstance(A=rng.standard_normal((n, n)) / np.sqrt(n),
+                               B=rng.standard_normal((n, m)),
+                               C=rng.standard_normal((p, n)), seed=0)
+        tracemalloc.start()
+        try:
+            assert pointwise_output_ctrb_rank(inst) == p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestTransferRank:

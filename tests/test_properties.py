@@ -10,7 +10,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.sparse import csr_array
+from scipy.sparse import csgraph, csr_array
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
@@ -314,11 +314,15 @@ def both_kernels(op, *args):
         calls = {"python": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
-            for kernel, name in (("python", "_PyFlow"), ("python", "_solve"),
-                                 ("csr", "_dinic"), ("csr", "_edge_index"),
-                                 ("csr", "maximum_flow"),
-                                 ("csr", "breadth_first_order")):
-                mp.setattr(flow, name, counted(getattr(flow, name), calls, kernel))
+            # flow imports scipy's functions when it calls them, so a spy
+            # on csgraph's own attributes sees every call
+            for kernel, owner, name in (
+                    ("python", flow, "_PyFlow"), ("python", flow, "_solve"),
+                    ("csr", flow, "_dinic"), ("csr", flow, "_edge_index"),
+                    ("csr", csgraph, "maximum_flow"),
+                    ("csr", csgraph, "breadth_first_order")):
+                mp.setattr(owner, name,
+                           counted(getattr(owner, name), calls, kernel))
             try:
                 answer = op(*args)
             except ValueError as exc:
@@ -471,14 +475,13 @@ class TestKernelsAgree:
         # targets than sources and at the source otherwise; both must agree
         # with the Python kernel and networkx
         starts = []
-        solve = flow.maximum_flow
 
         def spy(capacity, source, sink, **kwargs):
             # the sink is numbered after the source
             starts.append("sink" if source > sink else "source")
-            return solve(capacity, source, sink, **kwargs)
+            return scipy_maximum_flow(capacity, source, sink, **kwargs)
 
-        monkeypatch.setattr(flow, "maximum_flow", spy)
+        monkeypatch.setattr(csgraph, "maximum_flow", spy)
         rng = random.Random(15)
         for _ in range(30):
             sys_ = random_system(rng, max_n=300, max_available=30,
