@@ -233,11 +233,12 @@ def classify_nodes(sys: StructuredSystem) -> NodeClassification:
     """
     graph = sys.state_adjacency()
     p = len(sys.targets)
-    value, essential, reaching = flow._available_start_analysis(
-        graph, sys.available, sys.targets
-    )
-    if value < p:
-        raise UnsolvableError(achieved_size=value, required=p)
+    net = flow._solved(graph, flow._flatten(graph, sys.available, sys.targets))
+    if net.value < p:
+        raise UnsolvableError(achieved_size=net.value, required=p)
+    # in a large graph most of the labels that reach T are not available
+    reaching = frozenset(net.reaches_target(net.sources))
+    essential = net.essential()
     useless = frozenset(sys.available) - reaching
     useful = reaching - essential
     return NodeClassification(essential=essential, useful=useful, useless=useless)

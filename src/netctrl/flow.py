@@ -26,19 +26,25 @@ it crosses an edge into A or out of T, so both have the same minimum cuts.
 On the CSR kernel (below) a maximum flow is at most |T| vertex-disjoint
 paths, held as their nodes (:class:`_NodeFlow`).  A node that no path uses
 has an open split arc and no arc carrying flow, so a residual search reaches
-its entry half exactly when it reaches its exit half.  Each labelling is
-then one breadth-first search on the node graph: the graph's kept successor
+its entry half exactly when it reaches its exit half.  A labelling is then
+one breadth-first search on the node graph: the graph's kept successor
 index with the path nodes' rows changed, plus an exit half per path node
-and s.  Reaching T ignores the flow: one search over the predecessors.
+and s.  One search serves both labellings: opening the source arcs that
+carry flow adds only the paths' first entry halves, whose one residual arc
+leads back to s.  Reaching T ignores the flow: one search over the
+predecessors.
 
 One flow answers all four questions, so a StateGraph over read-only edge
 arrays, such as a system's ``state_adjacency()``, keeps the last CSR-sized
-one, keyed by the positions of A and T (:func:`_solved`).  A labelling
-question (separator, essential set) replaces it; a question on the
-linking's size or paths alone keeps its flow only if none is kept, so
-checks on other sets do not evict the system's own.  The Python kernel
-solves a small network in 10-100 us, so small flows are not kept; a dict,
-or a StateGraph over writable arrays, which may change, keeps none.
+one, keyed by the positions of A and T (:func:`_solved`), and the flow
+keeps its labelling and its reach of T once searched: a later separator
+or classification on those sets searches nothing.  A labelling question
+(separator, essential set) replaces it; a question on the linking's size
+or paths alone keeps its flow only if none is kept, so checks on other
+sets do not evict the system's own.  The Python kernel solves a small
+network in 10-100 us, so small flows are not kept, and its separator reads
+the last search of the solve; a dict, or a StateGraph over writable
+arrays, which may change, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -560,11 +566,12 @@ class _PyFlow:
                          if self.parent[2 * k] < 0)
 
     def separator(self) -> frozenset:
-        # every source arc open: a search from s and every available entry half
-        via = _search(self.adj, self.res,
-                      [self.source] + [2 * k for k in self.sources])
+        # every source arc open: the search of solve() plus every available
+        # entry half, as one it misses has no residual arc but back to s
+        parent, fed = self.parent, set(self.sources)
         return frozenset(lab for k, lab in enumerate(self.labels)
-                         if via[2 * k] != -1 and via[2 * k + 1] == -1)
+                         if (parent[2 * k] != -1 or k in fed)
+                         and parent[2 * k + 1] == -1)
 
     def paths(self) -> list:
         flow = [c - r for c, r in zip(self.cap[::2], self.res[::2])]
@@ -670,9 +677,12 @@ def _dinic(n: int, sources: np.ndarray, sinks: np.ndarray, tails: np.ndarray,
 class _NodeFlow:
     """A flow of the CSR kernel's network as its paths' nodes ``on``, path
     by path from source arc to sink arc, each path starting at a position
-    of ``firsts``, with the graph's labels, A, T and :func:`_edge_index`;
-    its labellings search the node graph.  The kernel holds maximum flows,
-    and the greedy the flows it grows."""
+    of ``firsts``, with the graph's labels, A and T ascending, and
+    :func:`_edge_index`; its labellings search the node graph.  The kernel holds maximum flows,
+    and the greedy the flows it grows.  Its one labelling and its mask of
+    the labels that reach T are each computed at first use and set in one
+    assignment, read-only, so a kept flow answers every later question on
+    its sets without a search."""
 
     def __init__(self, labels, sources, sinks, index, paths):
         self.labels, self.sources, self.sinks = labels, sources, sinks
@@ -680,6 +690,7 @@ class _NodeFlow:
         lengths = np.array([len(path) for path in paths], dtype=np.int64)
         self.on = np.array([v for path in paths for v in path], dtype=np.int64)
         self.firsts = np.cumsum(lengths) - lengths
+        self._closed = self._reach = None
 
     def paths(self) -> list:
         return [tuple(_labels_at(self.labels, walk))
@@ -699,14 +710,33 @@ class _NodeFlow:
         arc open if ``open_sources``.  The nodes: per label its own (a path
         node's entry half), the extra halves of ``on``, and s.  A path
         node's own row repeats its arc back, to the extra half before it on
-        its path or to s; its extra half's holds it and its successors."""
+        its path or to s; its extra half's holds it and its successors.
+        The search runs once, with the paths' source arcs closed; opening
+        them adds the first nodes' own nodes, reached from s, and nothing
+        else, as their rows lead back to s alone."""
+        pred = self._closed
+        if pred is None:
+            pred = self._closed_search()
+            pred.setflags(write=False)
+            self._closed = pred
+        if open_sources:
+            pred = pred.copy()
+            pred[self.on[self.firsts]] = len(pred) - 1
+        return pred
+
+    def _closed_search(self) -> np.ndarray:
+        """The search of :meth:`_labelled` with the paths' source arcs
+        closed; with no paths, the node graph is the index and s's row."""
         (indptr, indices), _ = self.index
         n, on = len(indptr) - 1, self.on
+        fed = np.ones(len(self.sources), dtype=bool)
+        fed[np.searchsorted(self.sources, on[self.firsts])] = False
+        fed = self.sources[fed]
+        if not len(on):
+            return _bfs_from(indptr, indices, fed)
         s = n + len(on)
         back = np.arange(n - 1, s - 1)
         back[self.firsts] = s
-        fed = (self.sources if open_sources
-               else np.setdiff1d(self.sources, on[self.firsts]))
         at, out = _entries(indptr, on)
         exits = np.insert(indices[at], np.cumsum(out) - out, on)
         order = np.argsort(on)
@@ -737,19 +767,22 @@ class _NodeFlow:
             self._second_halves()[nodes]] >= 0).any())
 
     def essential(self) -> frozenset:
-        mask = self._labelled(open_sources=False) >= 0
-        return frozenset(_labels_at(self.labels,
-                                    self.sources[~mask[self.sources]]))
+        unlabelled = self._labelled(open_sources=False)[self.sources] < 0
+        return frozenset(_labels_at(self.labels, self.sources[unlabelled]))
 
     def separator(self) -> frozenset:
-        mask, n = self._labelled(open_sources=True) >= 0, len(self.labels)
-        cut = mask[self.on] & ~mask[n:n + len(self.on)]
+        pred, n = self._labelled(open_sources=True), len(self.labels)
+        cut = (pred[self.on] >= 0) & (pred[n:n + len(self.on)] < 0)
         return frozenset(_labels_at(self.labels, self.on[cut]))
 
     def reaches_target(self, nodes: np.ndarray) -> list:
         """The labels at the positions ``nodes`` with a path to a target."""
-        mask = _reached_from(*self.index[1], self.sinks)
-        return _labels_at(self.labels, nodes[mask[nodes]])
+        reach = self._reach
+        if reach is None:
+            reach = _bfs_from(*self.index[1], self.sinks) >= 0
+            reach.setflags(write=False)
+            self._reach = reach
+        return _labels_at(self.labels, nodes[reach[nodes]])
 
 
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -757,24 +790,24 @@ def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
     """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
     along the arcs ``tails[k] -> heads[k]``, sorted by tail:
     :func:`_search` below ``CSR_MIN_ARCS`` nodes plus arcs, else
-    :func:`_reached_from` over the arcs as CSR rows."""
+    :func:`_bfs_from` over the arcs as CSR rows."""
     if n + len(tails) < CSR_MIN_ARCS:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
             adj[u].append((arc, v))
         return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
-    return _reached_from(_below(tails, n), heads,
-                         np.asarray(starts, dtype=np.int64))
+    return _bfs_from(_below(tails, n), heads,
+                     np.asarray(starts, dtype=np.int64))[:n] >= 0
 
 
-def _reached_from(indptr: np.ndarray, indices: np.ndarray,
-                  starts) -> np.ndarray:
-    """Mask of the nodes of the CSR index ``(indptr, indices)`` reachable
-    from the nodes ``starts``: scipy's search from a node after them with
-    an arc to each."""
-    n = len(indptr) - 1
+def _bfs_from(indptr: np.ndarray, indices: np.ndarray,
+              starts) -> np.ndarray:
+    """:func:`_bfs` on the CSR index ``(indptr, indices)`` and one node
+    after its rows with an arc to each of the nodes ``starts``, from that
+    node."""
     return _bfs(np.append(indptr, indptr[-1] + len(starts)),
-                np.concatenate([indices, starts], dtype=np.int32), n)[:n] >= 0
+                np.concatenate([indices, starts], dtype=np.int32),
+                len(indptr) - 1)
 
 
 def _bfs(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
@@ -1086,20 +1119,12 @@ def essential_start_analysis(
     path elsewhere.  On the CSR kernel both sets are one search each on the
     node graph (see the module docstring): from s, over the index's
     successors and the rows of the flow's path nodes, and from T over its
-    predecessors.  The graph keeps the flow, a few integers per path node,
-    and every call searches afresh.
+    predecessors.  The flow that the graph keeps keeps both searches too,
+    so a later call on the same sets searches nothing.
     """
-    return _available_start_analysis(graph, available, targets, True)
-
-
-def _available_start_analysis(graph, available, targets,
-                              every_node: bool = False) -> tuple:
-    """:func:`essential_start_analysis` with, unless ``every_node``, only
-    the available nodes among those that reach T: in a large graph, most of
-    the labels that do are not available."""
     net = _solved(graph, _flatten(graph, available, targets))
-    nodes = np.arange(len(net.labels)) if every_node else net.sources
-    return net.value, net.essential(), frozenset(net.reaches_target(nodes))
+    return (net.value, net.essential(),
+            frozenset(net.reaches_target(np.arange(len(net.labels)))))
 
 
 def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from netctrl import flow
 from netctrl.cli import main
 
 SAMPLES = sorted(str(p) for p in
@@ -466,20 +467,34 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def assert_exit_code_contract(fuzz_dir, invocation):
+    """The invocation exits 0, 1 or 2, and prints no traceback."""
+    command, args, source = invocation
+    if isinstance(source, bytes):
+        path = fuzz_dir / "input.sys"
+        path.write_bytes(source)
+        source = str(path)
+    args = [str(fuzz_dir / "out") if a == "OUT" else
+            str(fuzz_dir / "missing" / "out") if a == "MISSING" else a
+            for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, source, *args])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestFuzz:
     @settings(max_examples=500, deadline=None)
     @given(invocations())
     def test_exit_code_contract(self, fuzz_dir, invocation):
-        command, args, source = invocation
-        if isinstance(source, bytes):
-            path = fuzz_dir / "input.sys"
-            path.write_bytes(source)
-            source = str(path)
-        args = [str(fuzz_dir / "out") if a == "OUT" else
-                str(fuzz_dir / "missing" / "out") if a == "MISSING" else a
-                for a in args]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, source, *args])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert_exit_code_contract(fuzz_dir, invocation)
+
+    @settings(max_examples=300, deadline=None)
+    @given(invocations())
+    def test_exit_code_contract_on_the_csr_kernel(self, fuzz_dir, invocation):
+        # the drawn systems have n <= 40, far below the cutoff: at 0 every
+        # flow, reach and matching question runs on the CSR kernel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "CSR_MIN_ARCS", 0)
+            assert_exit_code_contract(fuzz_dir, invocation)

@@ -483,6 +483,54 @@ def four_questions(sys_):
             flow.maximum_linking(graph, sys_.available, sys_.targets))
 
 
+def questions_of(sys_):
+    """The classification, separator, classification again and essential
+    analysis of a system on its own sets."""
+    graph = sys_.state_adjacency()
+    return (classify_nodes(sys_),
+            flow.minimal_left_separator(graph, sys_.available, sys_.targets),
+            classify_nodes(sys_),
+            flow.essential_start_analysis(graph, sys_.available, sys_.targets))
+
+
+def own_separator(sys_):
+    """The minimal left separator of a system on its own sets."""
+    return flow.minimal_left_separator(sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+
+
+def assert_serial_in_threads(sys_, fresh, askers, calls):
+    """One thread per list of questions in ``askers`` asks ``calls`` of them
+    of ``sys_`` in turn, all starting together on a short switch interval;
+    every answer must be the one a serial call on ``fresh``, an equal
+    system, gives."""
+    serial = [[question(fresh) for question in questions]
+              for questions in askers]
+    answers = [[] for _ in askers]
+    start = threading.Barrier(len(askers))
+
+    def ask(k):
+        questions = askers[k]
+        start.wait()
+        for call in range(calls):
+            answers[k].append(questions[call % len(questions)](sys_))
+
+    threads = [threading.Thread(target=ask, args=(k,))
+               for k in range(len(askers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for expected, got in zip(serial, answers):
+        assert got == [expected[k % len(expected)] for k in range(calls)]
+
+
 class TestOneSolvePerSets:
     """A system's state graph keeps the flow of its last solved CSR-sized
     network, and every later question on the same available and target sets
@@ -562,6 +610,41 @@ class TestOneSolvePerSets:
         assert py_solution.witness.size == solution.witness.size
         assert py_linking.size == linking.size == len(separator)
 
+    def test_kept_flow_keeps_its_searches(self):
+        # the kept flow searches its node graph once and the predecessors
+        # once: classify, separator, classify and the essential analysis
+        # run two scipy searches in all, and checks on other steering sets
+        # in between leave both searches kept
+        sys_ = csr_sized_system()
+        graph = sys_.state_adjacency()
+        calls = {"bfs": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_bfs", counted(flow._bfs, calls, "bfs"))
+            answers = questions_of(sys_)
+            assert calls == {"bfs": 2}
+            kept = graph._last_solved[1]
+            closed, reach = kept._closed, kept._reach
+            assert not (closed.flags.writeable or reach.flags.writeable)
+            for steering in (sys_.available[:5], sys_.available[2:]):
+                is_functional_target_controllable(sys_, steering)
+                assert graph._last_solved[1] is kept
+                assert kept._closed is closed and kept._reach is reach
+            calls["bfs"] = 0
+            assert questions_of(sys_) == answers
+            assert calls == {"bfs": 0}
+        assert answers == questions_of(csr_sized_system())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "CSR_MIN_ARCS", math.inf)
+            assert answers == questions_of(csr_sized_system())
+
+    def test_two_threads_alternating_labellings(self):
+        # both threads alternate the classification and the separator on a
+        # fresh system, one starting with each: the first questions race to
+        # build the edge index, to keep the flow and to search it
+        assert_serial_in_threads(csr_sized_system(), csr_sized_system(),
+                                 [[classify_nodes, own_separator],
+                                  [own_separator, classify_nodes]], 100)
+
     @pytest.mark.parametrize("node", [True, 1.0])
     def test_nodes_checked_after_a_kept_solve(self, node):
         sys_ = csr_sized_system(available=(1, 2, 3, 4, 5), targets=(6, 7))
@@ -625,45 +708,17 @@ class TestOneSolvePerSets:
         # system's own sets, which keep their flow, while the other
         # alternates checks on two other steering sets, which solve
         # sub-networks and keep theirs only while no flow is kept; the first
-        # to ask builds the graph's edge index.  On a short switch interval
-        # every answer must be a serial call's, and the flow kept at the end
+        # to ask builds the graph's edge index.  The flow kept at the end is
         # the own sets'.
         sys_ = csr_sized_system()
-
-        def separator(s):
-            return flow.minimal_left_separator(s.state_adjacency(),
-                                               s.available, s.targets)
 
         def check(steering):
             return lambda s: is_functional_target_controllable(s, steering)
 
-        askers = [[separator, classify_nodes],
-                  [check(sys_.available[2:7]), check(sys_.available[:3])]]
         fresh = csr_sized_system()
-        serial = [[question(fresh) for question in questions]
-                  for questions in askers]
-        answers = [[] for _ in askers]
-        start = threading.Barrier(len(askers))
-
-        def ask(k):
-            questions = askers[k]
-            start.wait()
-            for round_ in range(60):
-                answers[k].append(questions[round_ % len(questions)](sys_))
-
-        threads = [threading.Thread(target=ask, args=(k,))
-                   for k in range(len(askers))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for expected, got in zip(serial, answers):
-            assert got == [expected[k % len(expected)] for k in range(60)]
+        assert_serial_in_threads(
+            sys_, fresh, [[own_separator, classify_nodes],
+                          [check(sys_.available[2:7]),
+                           check(sys_.available[:3])]], 60)
         graph = sys_.state_adjacency()
         assert graph._last_solved[0] == fresh.state_adjacency()._last_solved[0]

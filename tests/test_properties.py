@@ -835,6 +835,32 @@ def bf_left_separator(adj, available, targets):
     return best
 
 
+class TestPythonKernelSeparator:
+    def test_separator_reads_the_last_search_of_the_solve(self):
+        # the separator, read off the search that ends the solve and the
+        # available entry halves, against a fresh search from s and every
+        # available entry half, on graphs with self-loops and nodes both
+        # available and targeted
+        rng = random.Random(52)
+        seen = {"nonempty": 0, "first_unlabelled": 0}
+        for _ in range(600):
+            sys_ = random_system(rng, max_n=29, max_available=10,
+                                 max_targets=6, edge_factor=2.0)
+            graph = sys_.state_adjacency()
+            net = flow._PyFlow(*flow._flatten(graph, sys_.available,
+                                              sys_.targets))
+            net.solve()
+            via = flow._search(net.adj, net.res,
+                               [net.source] + [2 * k for k in net.sources])
+            expected = frozenset(lab for k, lab in enumerate(net.labels)
+                                 if via[2 * k] != -1 and via[2 * k + 1] == -1)
+            assert net.separator() == expected
+            seen["nonempty"] += bool(expected)
+            seen["first_unlabelled"] += any(net.parent[2 * k] == -1
+                                            for k in net.sources)
+        assert min(seen.values()) >= 50, seen
+
+
 class TestNodeGraphLabellings:
     """The CSR kernel's labellings on the node graph against the Python
     kernel's, enumeration and networkx, on graphs with self-loops on the
@@ -939,6 +965,37 @@ class TestSolvedCsrNetwork:
             assert_residual_searches(solved, sys_.state_adjacency(),
                                      sys_.available, sys_.targets)
         assert seen["self_loop"] >= 20 and seen["shared"] >= 20
+
+    def test_one_search_serves_both_labellings(self, monkeypatch):
+        # on the residual graphs built here, the search from s with every
+        # source arc open reaches what the one with the paths' source arcs
+        # closed reaches, plus the paths' first entry halves, whose one
+        # residual arc leads back to s: on the flow and on its reversed
+        # view.  The node graph's labellings, both read off one search,
+        # agree with these references, and the search is kept read-only.
+        monkeypatch.setattr(flow, "CSR_MIN_ARCS", 0)
+        seen = {"self_loop": 0, "from_sink": 0, "from_source": 0,
+                "first_unlabelled": 0, "first_labelled": 0}
+        for sys_, solved in solved_csr_networks(35, 120):
+            seen["self_loop"] += any(u == v for u, v in sys_.state_edges)
+            seen["from_sink" if len(sys_.targets) < len(sys_.available)
+                 else "from_source"] += 1
+            for view in (solved, REVERSED(solved)):
+                n = len(view.labels)
+                closed, opened = (
+                    searched(residual_of(n, *edges_of(view), view.sources, [],
+                                         paths_of(view), open_sources)[1], 2 * n)
+                    for open_sources in (False, True))
+                firsts = 2 * view.on[view.firsts]
+                added = np.zeros_like(opened)
+                added[firsts] = True
+                np.testing.assert_array_equal(opened, closed | added)
+                seen["first_unlabelled"] += int(np.count_nonzero(~closed[firsts]))
+                seen["first_labelled"] += int(np.count_nonzero(closed[firsts]))
+                for open_sources in (False, True):
+                    assert_labelled(view, open_sources)
+                assert not view._closed.flags.writeable
+        assert min(seen.values()) >= 20, seen
 
     def test_searches_past_int32_pair_keys(self, monkeypatch):
         # 30 000 nodes make 60 002 half nodes, and the pair (u, v) of them
