@@ -23,16 +23,15 @@ open.  The lower-level functions build the linking network instead, over
 ``preprocess_direct``'s graph with source arcs at |T| + 1: no finite cut of
 it crosses an edge into A or out of T, so both have the same minimum cuts.
 
-On the CSR kernel (below) a maximum flow is at most |T| vertex-disjoint
-paths, held as their nodes (:class:`_NodeFlow`).  A node that no path uses
-has an open split arc and no arc carrying flow, so a residual search reaches
-its entry half exactly when it reaches its exit half.  A labelling is then
-one breadth-first search on the node graph: the graph's kept successor
-index with the path nodes' rows changed, plus an exit half per path node
-and s.  One search serves both labellings: opening the source arcs that
-carry flow adds only the paths' first entry halves, whose one residual arc
-leads back to s.  Reaching T ignores the flow: one search over the
-predecessors.
+Both kernels (below) hold a maximum flow as at most |T| vertex-disjoint
+paths, by their nodes (:class:`_NodeFlow`).  A node that no path uses has an
+open split arc and no arc carrying flow, so a residual search reaches its
+entry half exactly when it reaches its exit half.  A labelling is then one
+breadth-first search on the node graph: the graph's successor index with the
+path nodes' rows changed, plus an exit half per path node and s.  One search
+serves both labellings: opening the source arcs that carry flow adds only
+the paths' first entry halves, whose one residual arc leads back to s.
+Reaching T ignores the flow: one search over the predecessors.
 
 One flow answers all four questions, so a StateGraph over read-only edge
 arrays, such as a system's ``state_adjacency()``, keeps the last CSR-sized
@@ -41,10 +40,8 @@ keeps its labelling and its reach of T once searched: a later separator
 or classification on those sets searches nothing.  A labelling question
 (separator, essential set) replaces it; a question on the linking's size
 or paths alone keeps its flow only if none is kept, so checks on other
-sets do not evict the system's own.  The Python kernel solves a small
-network in 10-100 us, so small flows are not kept, and its separator reads
-the last search of the solve; a dict, or a StateGraph over writable
-arrays, which may change, keeps none.
+sets do not evict the system's own.  Small flows are not kept; a dict, or a
+StateGraph over writable arrays, which may change, keeps none.
 
 The sets of available nodes that disjoint paths link into T are the
 independent sets of a gammoid, so the greedy in ascending order picks the
@@ -53,9 +50,9 @@ grows a flow from zero with every source arc closed: candidate a is taken
 iff a- reaches the sink in the residual graph, and one unit is then pushed
 along that path.  A rejected candidate leaves the residual graph as it was,
 so one backward search from the sink serves every candidate up to the next
-one taken.  On the CSR kernel the flow is its paths on the node graph, and
-the backward search is a labelling of the reversed view: the predecessors,
-each path reversed, every sink arc open.
+one taken.  The backward search is a labelling of the flow's reversed view:
+the predecessors, each path reversed, every sink arc open.  Run over every
+source, the greedy is Ford-Fulkerson, so its flow is maximum.
 
 Every network, the high-level operations' and :func:`build_auxiliary_graph`'s
 alike, is built from one reading of its graph, :func:`_flatten`: the labels
@@ -65,11 +62,14 @@ StateGraph hands over its own arrays; a successor dict is sorted and indexed
 there.  A node of A, T or a successor list that is not a label raises
 ``ValueError("node ... not in graph")`` before any network is built.
 
-Two kernels solve the network, chosen by the number of split and edge
-arcs.  Small networks go through the pure-Python augmenting-path solver
-below (``_build_arrays``/``_solve``), which answers a question in 10-30 us
-on a one-node graph and in 50-100 us on the 9-node example.  From
-``CSR_MIN_ARCS`` split and edge arcs on, scipy's Dinic
+Two kernels find the flow and search it, chosen by the number of split and
+edge arcs.  Below ``CSR_MIN_ARCS`` the list kernel runs the greedy over
+every source, so its paths start at the lexicographically first basis, and
+every search is a plain-Python breadth-first search over per-node successor
+and predecessor lists built once per question (:func:`_edge_lists`,
+:func:`_list_search`), with no numpy or scipy call: a question takes about
+20 us on a one-node graph and 28-37 us on the 9-node example (best of 3000
+calls, one core of a 2-core Xeon host).  From there on, scipy's Dinic
 (``scipy.sparse.csgraph.maximum_flow``, about 0.2 ms per call however small
 the network) solves the sub-network over balls grown from A and T, along the
 graph's successors and predecessors, until the flow's value, a residual cut
@@ -81,10 +81,11 @@ nodes.  Both kernels return the same flow value, separator and essential
 set; the linkings they return are both maximum but may differ.
 
 A maximum bipartite matching is a linking from the columns into the rows
-(:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` it is read off the
-Python kernel's flow, one flow path per matched pair, and from there on
-scipy's Hopcroft-Karp finds it.  Each function that calls scipy imports
-it in its body, so a process that asks only small questions never loads it.
+(:func:`bipartite_matching`): below ``CSR_MIN_ARCS`` the split network of the
+lower-level functions is solved for it (:func:`_build_arrays`,
+:func:`_solve`), one flow path per matched pair, and from there on scipy's
+Hopcroft-Karp finds it.  Each function that calls scipy imports it in its
+body, so a process that asks only small questions never loads it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,12 +104,16 @@ Node = Hashable
 SOURCE = "s"
 SINK = "t"
 
-# Split plus edge arcs (n + |E|) from which networks are solved on CSR arrays.
-# Measured on random digraphs with three edges per node, |A| = n/5, |T| = 5
-# (best of 20 calls, one core): at n = 100 (400 arcs) the Python kernel is
-# faster for every operation (0.6 vs 1.1 ms for the separator, 0.7 vs 1.3 ms
-# for the essential analysis); from n = 250 (1000 arcs) the CSR kernel is at
-# least as fast for all four, and at n = 400 it takes about half the time.
+# Split plus edge arcs (n + |E|) from which networks are solved on CSR arrays
+# and patterns matched by scipy.  Measured on random digraphs with three edges
+# per node, |A| = n/5, |T| = 5 (best of 20 calls, one core, three seeds): at
+# n = 100 (400 arcs) the list kernel takes 0.13-0.24 ms per operation and the
+# CSR kernel 0.55-0.78 ms, at n = 400 (1600 arcs) 0.53-0.81 against 0.66-1.2
+# ms; they meet near n = 500-600, and from n = 800 (3200 arcs) the CSR kernel
+# is faster for all four (0.71-1.05 against 1.05-1.6 ms).  The cutoff stays
+# below that crossover, as it also picks the matching kernel: on a random
+# pattern of 200 rows, 200 columns and 600 entries (1000 in all), _solve
+# takes 2.3 ms and scipy's Hopcroft-Karp 0.1 ms.
 CSR_MIN_ARCS = 1000
 
 
@@ -341,18 +347,21 @@ def _kind(value):
     return int
 
 
-def _labels_at(labels, pos: np.ndarray) -> list:
-    """The labels at the positions ``pos``, in that order."""
+def _labels_at(labels, pos) -> list:
+    """The labels at the positions ``pos``, an array or a list, in that
+    order."""
+    if isinstance(pos, list):
+        return [labels[k] for k in pos]
     if isinstance(labels, range):
         return (pos + labels.start).tolist()
     return [labels[k] for k in pos.tolist()]
 
 
-def _build_arrays(n: int, sources, sinks, tails, heads, inf_cap: int,
-                  source_cap: int):
+def _build_arrays(n: int, sources, sinks, tails, heads, inf_cap: int):
     """Arc lists of the split network over ``n`` labels, from the position
-    arrays of :func:`_flatten`: arc 2e is the forward direction of edge e,
-    arc 2e+1 its zero-capacity reverse.  Construction order (splits, graph
+    arrays of :func:`_flatten`, every arc but the unit split arcs of
+    capacity ``inf_cap``: arc 2e is the forward direction of edge e, arc
+    2e+1 its zero-capacity reverse.  Construction order (splits, graph
     edges by tail then head, source arcs, sink arcs) fixes the BFS
     tie-break."""
     s_id, t_id = 2 * n, 2 * n + 1
@@ -377,7 +386,7 @@ def _build_arrays(n: int, sources, sinks, tails, heads, inf_cap: int,
     for u, v in zip(tails.tolist(), heads.tolist()):
         add(2 * u + 1, 2 * v, inf_cap)
     for a in sources.tolist():
-        add(s_id, 2 * a, source_cap)
+        add(s_id, 2 * a, inf_cap)
     sink_arcs = [add(2 * t + 1, t_id, inf_cap) for t in sinks.tolist()]
     return adj, head, cap, sink_arcs
 
@@ -397,8 +406,7 @@ def build_auxiliary_graph(
     labels, sources, sinks, tails, heads = _flatten(graph, available, targets)
     inf_cap = len(sinks) + 1
     adj, head, cap, sink_arcs = _build_arrays(
-        len(labels), sources, sinks, tails, heads, inf_cap, inf_cap
-    )
+        len(labels), sources, sinks, tails, heads, inf_cap)
     return AuxiliaryGraph(
         labels=tuple(labels), available=tuple(_labels_at(labels, sources)),
         targets=tuple(_labels_at(labels, sinks)), infinite_capacity=inf_cap,
@@ -543,74 +551,6 @@ def _trimmed(paths, available, targets) -> Linking:
     return Linking(paths=tuple(cut))
 
 
-class _PyFlow:
-    """The network of the high-level operations (see the module docstring),
-    held as the arc lists of :func:`_build_arrays` with the residual
-    capacities ``res`` of its flow, zero until :meth:`solve` augments it to a
-    maximum flow by :func:`_solve`."""
-
-    def __init__(self, labels, sources, sinks, tails, heads):
-        self.labels, self.sources = labels, sources.tolist()
-        self.adj, self.head, self.cap, self.sink_arcs = _build_arrays(
-            len(labels), sources, sinks, tails, heads, len(sinks) + 1, 1)
-        self.source, self.sink = 2 * len(labels), 2 * len(labels) + 1
-        self.res = list(self.cap)
-
-    def solve(self) -> None:
-        self.res = list(self.cap)
-        self.value, self.parent = _solve(self.adj, self.head, self.res,
-                                         self.source, self.sink, self.sink_arcs)
-
-    def essential(self) -> frozenset:
-        return frozenset(self.labels[k] for k in self.sources
-                         if self.parent[2 * k] < 0)
-
-    def separator(self) -> frozenset:
-        # every source arc open: the search of solve() plus every available
-        # entry half, as one it misses has no residual arc but back to s
-        parent, fed = self.parent, set(self.sources)
-        return frozenset(lab for k, lab in enumerate(self.labels)
-                         if (parent[2 * k] != -1 or k in fed)
-                         and parent[2 * k + 1] == -1)
-
-    def paths(self) -> list:
-        flow = [c - r for c, r in zip(self.cap[::2], self.res[::2])]
-        return _flow_paths(self.labels, self.head, flow, self.source, self.sink)
-
-    def reaches_target(self, nodes) -> list:
-        """The labels at the positions ``nodes`` with a path to a target:
-        a search from t along the reverse arcs alone, the edges backwards."""
-        via = _search(self.adj, [0, 1] * (len(self.head) // 2), [self.sink])
-        return [self.labels[k] for k in nodes if via[2 * k] != -1]
-
-    def to_sink(self) -> list:
-        """Per node, the arc that a backward search from t over the residual
-        graph reached it on, negative if it has no residual path to t; the
-        arc's reverse is the node's next step on that path."""
-        res = self.res
-        return _search(self.adj, [res[arc ^ 1] for arc in range(len(res))],
-                       [self.sink])
-
-    def push(self, v: int, hops: list) -> None:
-        """Send one unit from node v to the sink along the path in ``hops``."""
-        while v != self.sink:
-            arc = hops[v] ^ 1
-            self.res[arc] -= 1
-            self.res[arc ^ 1] += 1
-            v = self.head[arc]
-
-    def open_sources(self, entries: list) -> list:
-        """Open the source arc of each entry half in ``entries``, which the
-        flow already leaves with one unit each, so that it is an s-t flow
-        again; returns their labels."""
-        fed = set(entries)
-        for arc, v in self.adj[self.source]:
-            if v in fed:
-                self.res[arc] -= 1
-                self.res[arc ^ 1] += 1
-        return [self.labels[v // 2] for v in entries]
-
-
 # ---------------------------------------------------------------------------
 # CSR kernel for large networks
 # ---------------------------------------------------------------------------
@@ -675,36 +615,44 @@ def _dinic(n: int, sources: np.ndarray, sinks: np.ndarray, tails: np.ndarray,
 
 
 class _NodeFlow:
-    """A flow of the CSR kernel's network as its paths' nodes ``on``, path
-    by path from source arc to sink arc, each path starting at a position
-    of ``firsts``, with the graph's labels, A and T ascending, and
-    :func:`_edge_index`; its labellings search the node graph.  The kernel holds maximum flows,
-    and the greedy the flows it grows.  Its one labelling and its mask of
-    the labels that reach T are each computed at first use and set in one
-    assignment, read-only, so a kept flow answers every later question on
-    its sets without a search."""
+    """A flow of the network of the high-level operations as its paths
+    ``walks``, each the positions of its nodes from source arc to sink arc,
+    with the graph's labels, A and T ascending, and its edge index; its
+    labellings search the node graph, whose extra halves are numbered by
+    the paths' nodes ``on``, path by path.  The index's form picks the
+    searches.  The lists of :func:`_edge_lists`, with A, T and ``on`` as
+    lists, are searched in plain Python (:func:`_list_search`).  The CSR
+    arrays of :func:`_edge_index`, with A, T and ``on`` as arrays and each
+    path's first position in ``on`` in ``firsts``, are searched by scipy.
+    The kernels hold maximum flows, and the greedy the flows it grows.  Its
+    one labelling and its mask of the labels that reach T are each computed
+    at first use and set in one assignment, read-only on the CSR form,
+    which alone is kept, so a kept flow answers every later question on its
+    sets without a search."""
 
     def __init__(self, labels, sources, sinks, index, paths):
         self.labels, self.sources, self.sinks = labels, sources, sinks
-        self.index, self.value = index, len(paths)
-        lengths = np.array([len(path) for path in paths], dtype=np.int64)
-        self.on = np.array([v for path in paths for v in path], dtype=np.int64)
-        self.firsts = np.cumsum(lengths) - lengths
+        self.index, self.walks, self.value = index, paths, len(paths)
+        self.listed = isinstance(index[0], list)
+        self.on = [v for path in paths for v in path]
+        if not self.listed:
+            self.on = np.array(self.on, dtype=np.int64)
+            self.firsts = np.array(list(accumulate(map(len, paths),
+                                                   initial=0))[:-1],
+                                   dtype=np.int64)
         self._closed = self._reach = None
 
     def paths(self) -> list:
-        return [tuple(_labels_at(self.labels, walk))
-                for walk in np.split(self.on, self.firsts)[1:]]
+        return [tuple(_labels_at(self.labels, walk)) for walk in self.walks]
 
     def reversed(self) -> _NodeFlow:
         """The same flow on the network with every arc reversed, from T to
         A: over the predecessors, each path reversed, so that a path node's
         own node is its exit half and its extra node its entry half."""
         return _NodeFlow(self.labels, self.sinks, self.sources,
-                         self.index[::-1], [walk[::-1] for walk in
-                                            np.split(self.on, self.firsts)[1:]])
+                         self.index[::-1], [walk[::-1] for walk in self.walks])
 
-    def _labelled(self, open_sources: bool) -> np.ndarray:
+    def _labelled(self, open_sources: bool):
         """Per node of the node graph, the one from which the residual
         search from s reached it, negative if it did not, with every source
         arc open if ``open_sources``.  The nodes: per label its own (a path
@@ -717,16 +665,31 @@ class _NodeFlow:
         pred = self._closed
         if pred is None:
             pred = self._closed_search()
-            pred.setflags(write=False)
+            if not self.listed:
+                pred.setflags(write=False)
             self._closed = pred
         if open_sources:
             pred = pred.copy()
-            pred[self.on[self.firsts]] = len(pred) - 1
+            for walk in self.walks:
+                pred[walk[0]] = len(pred) - 1
         return pred
 
-    def _closed_search(self) -> np.ndarray:
+    def _closed_search(self):
         """The search of :meth:`_labelled` with the paths' source arcs
         closed; with no paths, the node graph is the index and s's row."""
+        if self.listed:
+            succ, n, on = self.index[0], len(self.labels), self.on
+            s = n + len(on)
+            firsts = {walk[0] for walk in self.walks}
+            rows = succ + [[v] + succ[v] for v in on] + [
+                [a for a in self.sources if a not in firsts]]
+            j = n
+            for walk in self.walks:
+                back = s
+                for v in walk:
+                    rows[v] = (back,)
+                    back, j = j, j + 1
+            return _list_search(rows, s)
         (indptr, indices), _ = self.index
         n, on = len(indptr) - 1, self.on
         fed = np.ones(len(self.sources), dtype=bool)
@@ -753,49 +716,95 @@ class _NodeFlow:
         columns[at] = np.repeat(back, counts)
         return _bfs(rowptr, columns, s)
 
-    def _second_halves(self) -> np.ndarray:
+    def _second_halves(self):
         """Per label, its node of the node graph for the half after its
         split arc: a path node's extra half, else its own node."""
-        halves = np.arange(len(self.labels))
-        halves[self.on] = np.arange(len(halves), len(halves) + len(self.on))
+        n = len(self.labels)
+        if self.listed:
+            halves = list(range(n))
+            for j, v in enumerate(self.on, n):
+                halves[v] = j
+            return halves
+        halves = np.arange(n)
+        halves[self.on] = np.arange(n, n + len(self.on))
         return halves
 
     def _reaches(self, open_sources: bool, nodes: np.ndarray) -> bool:
         """Whether the residual search from s reaches the second half of
-        any of the labels at the positions ``nodes``."""
+        any of the labels at the positions ``nodes`` (CSR form)."""
         return bool((self._labelled(open_sources)[
             self._second_halves()[nodes]] >= 0).any())
 
     def essential(self) -> frozenset:
-        unlabelled = self._labelled(open_sources=False)[self.sources] < 0
-        return frozenset(_labels_at(self.labels, self.sources[unlabelled]))
+        pred = self._labelled(open_sources=False)
+        if self.listed:
+            return frozenset(_labels_at(self.labels, [
+                a for a in self.sources if pred[a] < 0]))
+        return frozenset(_labels_at(self.labels,
+                                    self.sources[pred[self.sources] < 0]))
 
     def separator(self) -> frozenset:
         pred, n = self._labelled(open_sources=True), len(self.labels)
+        if self.listed:
+            return frozenset(_labels_at(self.labels, [
+                v for j, v in enumerate(self.on, n)
+                if pred[v] >= 0 and pred[j] < 0]))
         cut = (pred[self.on] >= 0) & (pred[n:n + len(self.on)] < 0)
         return frozenset(_labels_at(self.labels, self.on[cut]))
 
-    def reaches_target(self, nodes: np.ndarray) -> list:
+    def reaches_target(self, nodes) -> list:
         """The labels at the positions ``nodes`` with a path to a target."""
         reach = self._reach
         if reach is None:
-            reach = _bfs_from(*self.index[1], self.sinks) >= 0
-            reach.setflags(write=False)
+            preds = self.index[1]
+            if self.listed:
+                reach = [v >= 0 for v in
+                         _list_search(preds + [self.sinks], len(preds))]
+            else:
+                reach = _bfs_from(*preds, self.sinks) >= 0
+                reach.setflags(write=False)
             self._reach = reach
+        if self.listed:
+            return _labels_at(self.labels, [k for k in nodes if reach[k]])
         return _labels_at(self.labels, nodes[reach[nodes]])
+
+
+def _edge_lists(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple:
+    """:func:`_edge_index` as Python lists, for plain-Python searches: per
+    node its successors and its predecessors, each list ascending."""
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in zip(tails.tolist(), heads.tolist()):
+        succ[u].append(v)
+        pred[v].append(u)
+    return succ, pred
+
+
+def _list_search(rows: list, start: int) -> list:
+    """Per node of the graph with the successor lists ``rows``, the one
+    from which a breadth-first search from ``start`` reached it, negative
+    for ``start`` and the nodes it did not reach: :func:`_bfs`'s answer,
+    rows visited in the same order, in plain Python."""
+    pred = [-1] * len(rows)
+    pred[start] = -2
+    queue = [start]
+    append = queue.append
+    for u in queue:
+        for v in rows[u]:
+            if pred[v] == -1:
+                pred[v] = u
+                append(v)
+    return pred
 
 
 def reachable(n: int, tails: np.ndarray, heads: np.ndarray,
               starts: Sequence[int]) -> np.ndarray:
     """Mask of the nodes 0..n-1 reachable from the distinct nodes ``starts``
     along the arcs ``tails[k] -> heads[k]``, sorted by tail:
-    :func:`_search` below ``CSR_MIN_ARCS`` nodes plus arcs, else
+    :func:`_list_search` below ``CSR_MIN_ARCS`` nodes plus arcs, else
     :func:`_bfs_from` over the arcs as CSR rows."""
     if n + len(tails) < CSR_MIN_ARCS:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for arc, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
-            adj[u].append((arc, v))
-        return np.array(_search(adj, [1] * len(tails), list(starts))) != -1
+        succ, _ = _edge_lists(n, tails, heads)
+        return np.array(_list_search(succ + [list(starts)], n)[:n]) >= 0
     return _bfs_from(_below(tails, n), heads,
                      np.asarray(starts, dtype=np.int64))[:n] >= 0
 
@@ -922,25 +931,26 @@ def _sub_solved(n: int, sources: np.ndarray, sinks: np.ndarray,
         to_share, to_cover = 0, 2 * covered
 
 
-def _greedy(n: int, sources: np.ndarray, sinks: np.ndarray,
-            index: tuple) -> list:
-    """The matroid greedy of :func:`lexicographic_basis` on the node graph
-    of ``index``: per available node taken, ascending, its path of the
-    flow, as positions.  The flow is a set of carrying edges, each node's
-    next one on its path; its paths are walked afresh from the nodes taken
-    after each push.  The backward search from t is a labelling of the
-    flow's reversed view, with every sink arc open, and a push walks its
-    predecessors from the candidate's entry half to t: a step u+ -> w-
-    takes the edge u -> w, a step u- -> w+ gives back the edge w -> u, and
-    a step u+ -> u- is the reversed split arc, never a self-loop."""
-    nxt, walks, pred = {}, [], None
-    for a in sources.tolist():
+def _greedy(labels, sources, sinks, index: tuple) -> _NodeFlow:
+    """The flow that the matroid greedy of :func:`lexicographic_basis`
+    grows on the node graph of ``index``, in either form, with A and T in
+    its form (see :class:`_NodeFlow`): one path per available node taken,
+    ascending.  Run over every source, it is Ford-Fulkerson, so the flow is
+    maximum.  The flow is a set of carrying edges, each node's next one on
+    its path; its paths are walked afresh from the nodes taken after each
+    push.  The backward search from t is a labelling of the flow's reversed
+    view, with every sink arc open, and a push walks its predecessors from
+    the candidate's entry half to t: a step u+ -> w- takes the edge u -> w,
+    a step u- -> w+ gives back the edge w -> u, and a step u+ -> u- is the
+    reversed split arc, never a self-loop."""
+    n, nxt, walks, pred = len(labels), {}, [], None
+    for a in map(int, sources):
         if len(walks) == len(sinks):
             break
         if pred is None:
             view = _NodeFlow(range(n), sources, sinks, index, walks).reversed()
             pred, halves = view._labelled(True), view._second_halves()
-            on, t = view.on.tolist(), len(pred) - 1
+            on, t = view.on, len(pred) - 1
         v = int(halves[a])
         if pred[v] < 0:
             continue
@@ -949,14 +959,14 @@ def _greedy(n: int, sources: np.ndarray, sinks: np.ndarray,
             if v >= n:  # from an entry half back to the exit half before it
                 del nxt[w]
             elif w < n or on[w - n] != v:
-                nxt[v] = w if w < n else on[w - n]
+                nxt[v] = w if w < n else int(on[w - n])
             v = w
         walks = [[start] for start in [walk[0] for walk in walks] + [a]]
         for walk in walks:
             while walk[-1] in nxt:
                 walk.append(nxt[walk[-1]])
         pred = None  # the residual graph has changed
-    return walks
+    return _NodeFlow(labels, sources, sinks, index, walks)
 
 
 def _below(rows: np.ndarray, n: int) -> np.ndarray:
@@ -969,21 +979,20 @@ def _below(rows: np.ndarray, n: int) -> np.ndarray:
 # High-level operations
 # ---------------------------------------------------------------------------
 
-def _solved(graph, flat: tuple,
-            paths_only: bool = False) -> _PyFlow | _NodeFlow:
+def _solved(graph, flat: tuple, paths_only: bool = False) -> _NodeFlow:
     """The maximum flow of the network over :func:`_flatten`'s reading
-    ``flat`` of ``graph``, never to be changed by the caller: on the CSR
-    kernel a :class:`_NodeFlow`, from :func:`_sub_solved`, or from Dinic's
-    on the whole network if that gives up.  A StateGraph over read-only
-    arrays keeps one flow, keyed by the positions of A and T: a labelling
-    question replaces it, and one on the flow's value and paths alone
-    (``paths_only``) keeps its own only if none is kept."""
+    ``flat`` of ``graph``, never to be changed by the caller: below
+    ``CSR_MIN_ARCS`` the greedy's over every source, on the graph's edge
+    lists (:func:`_greedy`), and from there on from :func:`_sub_solved`, or
+    from Dinic's on the whole network if that gives up.  A StateGraph over
+    read-only arrays keeps one CSR-sized flow, keyed by the positions of A
+    and T: a labelling question replaces it, and one on the flow's value
+    and paths alone (``paths_only``) keeps its own only if none is kept."""
     labels, sources, sinks, tails, heads = flat
     n = len(labels)
     if n + len(tails) < CSR_MIN_ARCS:
-        net = _PyFlow(*flat)
-        net.solve()
-        return net
+        return _greedy(labels, sources.tolist(), sinks.tolist(),
+                       _edge_lists(n, tails, heads))
     kept = _kept_index(graph, n, tails, heads)
     if kept is not None:
         key, last = (sources.tobytes(), sinks.tobytes()), graph._last_solved
@@ -1048,40 +1057,23 @@ def lexicographic_basis(
     backward search from the sink per node kept and one unit pushed along
     the path found, until every target is covered.  The linking is the
     flow's paths, trimmed, so it starts at exactly the nodes kept; if they
-    are fewer than the targets, it is :func:`maximum_linking`'s: on the
-    CSR kernel from the same reading of the graph, and on the Python
-    kernel from the greedy's network solved afresh.  A CSR-sized graph
-    grows its flow on the node graph of its edge index (:func:`_greedy`)
-    and lays out no network over the whole graph.
+    are fewer than the targets, it is :func:`maximum_linking`'s: below
+    ``CSR_MIN_ARCS`` the greedy's flow is that flow, and from there on
+    Dinic's is solved from the same reading of the graph.  A CSR-sized
+    graph grows its flow on the node graph of its edge index and lays out
+    no network over the whole graph.
     """
     available, targets = tuple(available), tuple(targets)
     flat = _flatten(graph, available, targets)
     labels, sources, sinks, tails, heads = flat
-    if len(labels) + len(tails) >= CSR_MIN_ARCS:
-        walks = _greedy(len(labels), sources, sinks,
-                        _kept_index(graph, len(labels), tails, heads)
-                        or _edge_index(len(labels), tails, heads))
-        basis = tuple(_labels_at(labels, np.array([walk[0] for walk in walks],
-                                                  dtype=np.int64)))
-        paths = ([tuple(_labels_at(labels, np.array(walk))) for walk in walks]
-                 if len(basis) == len(sinks) else
-                 _solved(graph, flat, paths_only=True).paths())
-    else:
-        net = _PyFlow(*flat)
-        chosen, hops = [], None
-        for v in [2 * k for k in net.sources]:
-            if len(chosen) == len(sinks):
-                break
-            if hops is None:
-                hops = net.to_sink()
-            if hops[v] >= 0:
-                net.push(v, hops)
-                chosen.append(v)
-                hops = None  # the residual graph has changed
-        basis = tuple(net.open_sources(chosen))
-        if len(basis) < len(sinks):
-            net.solve()
-        paths = net.paths()
+    n = len(labels)
+    grown = (_solved(graph, flat) if n + len(tails) < CSR_MIN_ARCS else
+             _greedy(labels, sources, sinks, _kept_index(graph, n, tails, heads)
+                     or _edge_index(n, tails, heads)))
+    paths = grown.paths()
+    basis = tuple(path[0] for path in paths)
+    if len(basis) < len(sinks) and not grown.listed:
+        paths = _solved(graph, flat, paths_only=True).paths()
     return basis, _trimmed(paths, set(basis if len(basis) == len(sinks)
                                       else available), set(targets))
 
@@ -1116,11 +1108,11 @@ def essential_start_analysis(
     An available node a is essential iff the residual search from s misses
     its entry half a-: a labelled a- is reached over its unused source arc,
     or by a residual path that, with the reverse source arc, reroutes a's
-    path elsewhere.  On the CSR kernel both sets are one search each on the
-    node graph (see the module docstring): from s, over the index's
-    successors and the rows of the flow's path nodes, and from T over its
-    predecessors.  The flow that the graph keeps keeps both searches too,
-    so a later call on the same sets searches nothing.
+    path elsewhere.  Both sets are one search each on the node graph (see
+    the module docstring): from s, over the index's successors and the rows
+    of the flow's path nodes, and from T over its predecessors.  A flow that
+    the graph keeps keeps both searches too, so a later call on the same
+    sets searches nothing.
     """
     net = _solved(graph, _flatten(graph, available, targets))
     return (net.value, net.essential(),
@@ -1135,8 +1127,8 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
 
     A matching is a linking from the columns into the rows of the digraph
     with an edge from each column to its rows, one flow path per matched
-    pair.  Below ``CSR_MIN_ARCS`` nodes plus edges the Python kernel solves
-    that network; from there on scipy's Hopcroft-Karp matches the pattern,
+    pair.  Below ``CSR_MIN_ARCS`` nodes plus edges :func:`_solve` solves
+    that network on the arc lists of :func:`_build_arrays`; from there on scipy's Hopcroft-Karp matches the pattern,
     in a fifth of the time of the Dinic flow on a 100 000-row pattern.
     """
     if n_rows + n_cols + len(rows) >= CSR_MIN_ARCS:
@@ -1148,13 +1140,14 @@ def bipartite_matching(n_rows: int, n_cols: int, rows: np.ndarray,
     # the columns are the nodes 0..n_cols-1 and the rows the nodes after them
     keys = np.unique(np.asarray(cols, dtype=np.int64) * n_rows + rows)
     tails, heads = np.divmod(keys, max(n_rows, 1))
-    net = _PyFlow(range(n_cols + n_rows), np.arange(n_cols),
-                  np.arange(n_cols, n_cols + n_rows), tails, heads + n_cols)
-    net.solve()
-    # edge k is arc 2(n_cols + n_rows + k), of capacity n_rows + 1, and it
-    # carries one flow path, so its pair is matched, iff less of it is left
-    first = 2 * (n_cols + n_rows)
-    carrying = np.array(net.res[first:first + 2 * len(keys):2]) <= n_rows
+    n = n_cols + n_rows
+    adj, head, res, sink_arcs = _build_arrays(
+        n, np.arange(n_cols), np.arange(n_cols, n), tails, heads + n_cols,
+        n_rows + 1)
+    _solve(adj, head, res, 2 * n, 2 * n + 1, sink_arcs)
+    # edge k is arc 2(n + k), of capacity n_rows + 1, and it carries one
+    # flow path, so its pair is matched, iff less of it is left
+    carrying = np.array(res[2 * n:2 * (n + len(keys)):2]) <= n_rows
     match = np.full(n_rows, -1, dtype=np.int64)
     match[heads[carrying]] = tails[carrying]
     return match

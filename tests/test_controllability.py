@@ -174,10 +174,11 @@ class TestSolveMtcp:
 
     def test_prefer_small_index_builds_one_network(self):
         # candidate 3 has no path to a target and is passed over; without 1
-        # and 4 only 7 is linked.  The Python kernel's greedy builds one
-        # network and solves it for the unsolvable answer; the CSR kernel's
-        # grows its flow on the node graph and builds none, and its
-        # unsolvable answer is maximum_linking's, from the same reading
+        # and 4 only 7 is linked.  The list kernel builds the graph's edge
+        # lists once, and its greedy is its one solve, whose flow is also
+        # maximum_linking's; the CSR kernel's greedy grows its flow on the
+        # node graph and builds no network, and its unsolvable answer is
+        # maximum_linking's, from the same reading
         sys_ = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
                                 available=(1, 3, 4, 5), targets=(8, 9))
         short = StructuredSystem(n=9, state_edges=EXAMPLE_EDGES,
@@ -197,9 +198,9 @@ class TestSolveMtcp:
                 return solve_mtcp(*args), calls
 
         py, csr = both_kernels(solve, sys_, True)
-        for (result, calls), build in ((py, 1), (csr, 0)):
+        for (result, calls), build, solves in ((py, 1, 1), (csr, 0, 0)):
             assert result.steering == (1, 4)
-            assert calls == {"read": 1, "build": build, "solve": 0,
+            assert calls == {"read": 1, "build": build, "solve": solves,
                              "max_linking_size": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", 0)

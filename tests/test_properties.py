@@ -296,7 +296,7 @@ class TestComplexityGrowth:
 
 
 def both_kernels(op, *args):
-    """``op``'s answer from the pure-Python kernel and from the CSR kernel,
+    """``op``'s answer from the list kernel and from the CSR kernel,
     each forced by moving the size cutoff that chooses between them; a
     ValueError that ``op`` raises is the answer, and must come before either
     kernel is built.  Spies on each kernel's network, solver and searches
@@ -304,20 +304,21 @@ def both_kernels(op, *args):
     index kept by a StateGraph, or by a system's state graph, in ``args``
     are dropped before each run, so that the run builds its own."""
     answers = []
-    for cutoff, forced, other in ((math.inf, "python", "csr"),
-                                  (0, "csr", "python")):
+    for cutoff, forced, other in ((math.inf, "list", "csr"),
+                                  (0, "csr", "list")):
         for arg in args:
             if isinstance(arg, StructuredSystem):
                 arg = arg.state_adjacency()
             if isinstance(arg, flow.StateGraph):
                 arg._last_solved = arg._index = None
-        calls = {"python": 0, "csr": 0}
+        calls = {"list": 0, "csr": 0}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "CSR_MIN_ARCS", cutoff)
             # flow imports scipy's functions when it calls them, so a spy
             # on csgraph's own attributes sees every call
             for kernel, owner, name in (
-                    ("python", flow, "_PyFlow"), ("python", flow, "_solve"),
+                    ("list", flow, "_edge_lists"),
+                    ("list", flow, "_list_search"),
                     ("csr", flow, "_dinic"), ("csr", flow, "_edge_index"),
                     ("csr", csgraph, "maximum_flow"),
                     ("csr", csgraph, "breadth_first_order")):
@@ -328,7 +329,7 @@ def both_kernels(op, *args):
             except ValueError as exc:
                 answer = exc
         if isinstance(answer, ValueError):
-            assert calls == {"python": 0, "csr": 0}
+            assert calls == {"list": 0, "csr": 0}
         else:
             assert calls[other] == 0 and calls[forced]
         answers.append(answer)
@@ -343,21 +344,26 @@ def counted(fn, calls, key):
     return spy
 
 
-# the Python kernel's class and the reversed view of a CSR flow, held here
-# before any test replaces them with a spy
-PY_FLOW, REVERSED = flow._PyFlow, flow._NodeFlow.reversed
+# the reversed view of a flow, held here before any test replaces it with
+# a spy
+REVERSED = flow._NodeFlow.reversed
 
 
 def count_networks(mp, calls, n):
     """Count, through the MonkeyPatch ``mp``, the networks built over all
-    ``n`` labels of a graph in ``calls["build"]``: the Python kernel's, and
-    the CSR kernel's, which :func:`flow._dinic` lays out and solves; and
-    the solves in ``calls["solve"]``: each Python network's ``solve()``, and
-    each sub-network solve outside one, which answers a question without a
-    network over the whole graph.  The CSR kernel runs Dinic on networks
-    over parts of the graph: one may be laid out within a solve, and
-    nowhere else."""
+    ``n`` labels of a graph in ``calls["build"]``: the list kernel's edge
+    lists, and the CSR kernel's network, which :func:`flow._dinic` lays out
+    and solves; and the solves in ``calls["solve"]``: each greedy run on
+    edge lists, the list kernel's solve, and each sub-network solve outside
+    one, which answers a question without a network over the whole graph.
+    The CSR kernel runs Dinic on networks over parts of the graph: one may
+    be laid out within a solve, and nowhere else."""
     solving = []
+    greedy = flow._greedy
+
+    def counted_greedy(labels, sources, sinks, index):
+        calls["solve"] += isinstance(index[0], list)
+        return greedy(labels, sources, sinks, index)
 
     def counted_solve(solve):
         def spy(*args, **kwargs):
@@ -376,9 +382,9 @@ def count_networks(mp, calls, n):
             return build(*args)
         return spy
 
-    mp.setattr(PY_FLOW, "__init__",
-               counted_build(PY_FLOW.__init__, lambda args: len(args[1])))
-    mp.setattr(PY_FLOW, "solve", counted_solve(PY_FLOW.solve))
+    mp.setattr(flow, "_edge_lists",
+               counted_build(flow._edge_lists, lambda args: args[0]))
+    mp.setattr(flow, "_greedy", counted_greedy)
     mp.setattr(flow, "_dinic", counted_build(flow._dinic, lambda args: args[0]))
     mp.setattr(flow, "_sub_solved", counted_solve(flow._sub_solved))
 
@@ -473,7 +479,7 @@ class TestKernelsAgree:
     def test_both_search_directions(self, monkeypatch):
         # the CSR kernel starts Dinic at the sink when there are fewer
         # targets than sources and at the source otherwise; both must agree
-        # with the Python kernel and networkx
+        # with the list kernel and networkx
         starts = []
 
         def spy(capacity, source, sink, **kwargs):
@@ -716,13 +722,18 @@ def whole_network(graph, available, targets):
 
 
 def paths_of(solved):
-    """A _NodeFlow's paths, each as a list of positions."""
-    return [walk.tolist() for walk in np.split(solved.on, solved.firsts)[1:]]
+    """A _NodeFlow's paths, each as a list of positions, on either form."""
+    return [np.asarray(walk, dtype=np.int64).tolist()
+            for walk in solved.walks]
 
 
 def edges_of(solved):
     """The edges of a _NodeFlow's digraph, as (tails, heads), from the
-    successor rows of its index."""
+    successor rows of its index, on either form."""
+    if solved.listed:
+        succ, _ = solved.index
+        return ([u for u, row in enumerate(succ) for _ in row],
+                [v for row in succ for v in row])
     (indptr, indices), _ = solved.index
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
 
@@ -734,16 +745,17 @@ def assert_labelled(solved, open_sources):
     its node graph nodes are, and every predecessor step is a residual arc.
     The node graph's own node of a label is its first half; a path node's
     extra node is its second half, and a label off the paths is one node
-    for both.  Returns the mask of the halves reached."""
-    n, on = len(solved.labels), solved.on.tolist()
+    for both.  Either form of the flow is read as arrays.  Returns the mask
+    of the halves reached."""
+    n, on = len(solved.labels), np.asarray(solved.on, dtype=np.int64)
     _, residual = residual_of(n, *edges_of(solved), solved.sources, [],
                               paths_of(solved), open_sources)
     reached = searched(residual, 2 * n)
-    pred = solved._labelled(open_sources)
+    pred = np.asarray(solved._labelled(open_sources))
     root = n + len(on)
     assert len(pred) == root + 1
     second = np.arange(n)
-    for j, v in enumerate(on):
+    for j, v in enumerate(on.tolist()):
         second[v] = n + j
     mask = pred >= 0
     mask[root] = True
@@ -753,9 +765,9 @@ def assert_labelled(solved, open_sources):
     # node's row leaves (a path node's own row its first half, any other
     # row a second half, s's s) into the half that the node stands for
     leaves = 2 * np.arange(n) + 1
-    leaves[solved.on] -= 1
-    leaves = np.concatenate([leaves, 2 * solved.on + 1, [2 * n]])
-    enters = np.concatenate([2 * np.arange(n), 2 * solved.on + 1])
+    leaves[on] -= 1
+    leaves = np.concatenate([leaves, 2 * on + 1, [2 * n]])
+    enters = np.concatenate([2 * np.arange(n), 2 * on + 1])
     reached_nodes = np.flatnonzero(pred >= 0)
     if len(reached_nodes):
         assert np.all(residual[leaves[pred[reached_nodes]],
@@ -835,30 +847,103 @@ def bf_left_separator(adj, available, targets):
     return best
 
 
-class TestPythonKernelSeparator:
-    def test_separator_reads_the_last_search_of_the_solve(self):
-        # the separator, read off the search that ends the solve and the
-        # available entry halves, against a fresh search from s and every
-        # available entry half, on graphs with self-loops and nodes both
-        # available and targeted
+class TestListKernel:
+    """The list kernel's flow, the greedy's over every source on Python
+    lists, against enumeration, the CSR kernel and scipy's searches over
+    the residual graph of the same flow, built here."""
+
+    def test_separator_reads_the_closed_search(self):
+        # the separator, read off the one search with the paths' source
+        # arcs closed plus the paths' first entry halves, against a fresh
+        # search from s with every source arc open, on graphs with
+        # self-loops and nodes both available and targeted
         rng = random.Random(52)
         seen = {"nonempty": 0, "first_unlabelled": 0}
         for _ in range(600):
             sys_ = random_system(rng, max_n=29, max_available=10,
                                  max_targets=6, edge_factor=2.0)
             graph = sys_.state_adjacency()
-            net = flow._PyFlow(*flow._flatten(graph, sys_.available,
-                                              sys_.targets))
-            net.solve()
-            via = flow._search(net.adj, net.res,
-                               [net.source] + [2 * k for k in net.sources])
+            net = flow._solved(graph, flow._flatten(graph, sys_.available,
+                                                    sys_.targets))
+            assert net.listed
+            n = len(net.labels)
+            _, residual = residual_of(n, *edges_of(net), net.sources, [],
+                                      paths_of(net), open_sources=True)
+            reached = searched(residual, 2 * n)
             expected = frozenset(lab for k, lab in enumerate(net.labels)
-                                 if via[2 * k] != -1 and via[2 * k + 1] == -1)
+                                 if reached[2 * k] and not reached[2 * k + 1])
             assert net.separator() == expected
             seen["nonempty"] += bool(expected)
-            seen["first_unlabelled"] += any(net.parent[2 * k] == -1
-                                            for k in net.sources)
+            closed = net._labelled(open_sources=False)
+            seen["first_unlabelled"] += any(closed[walk[0]] < 0
+                                            for walk in net.walks)
         assert min(seen.values()) >= 50, seen
+
+    def test_small_graphs_against_oracles_and_the_csr_kernel(self):
+        # on 1000 graphs with n <= 10 and self-loops: the value, the
+        # essential set, the nodes reaching T, the separator and the
+        # lexicographic basis on both kernels against enumeration; the list
+        # kernel's labellings and backward search against scipy's.  Plain
+        # solve and the lexicographic solve read one flow, trimmed to direct
+        # paths and to the basis: their steering sets are equal when the
+        # lexicographic linking is direct.  1 -> 2 -> 3 with A = {1, 2} and
+        # T = {3} is not: the basis is {1}, and plain solve's set {2}.
+        rng = random.Random(53)
+        seen = {"self_loop": 0, "solvable": 0, "unsolvable": 0,
+                "same_steering": 0, "other_steering": 0}
+        for _ in range(1000):
+            n = rng.randint(1, 10)
+            edges = {(rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(0, 2 * n))}
+            edges |= {(v, v) for v in rng.sample(range(1, n + 1),
+                                                 rng.randint(0, n))}
+            sys_ = StructuredSystem(
+                n=n, state_edges=tuple(sorted(edges)),
+                available=tuple(rng.sample(range(1, n + 1),
+                                           rng.randint(1, n))),
+                targets=tuple(rng.sample(range(1, n + 1),
+                                         rng.randint(1, min(4, n)))))
+            adj, available, targets = (sys_.state_adjacency(), sys_.available,
+                                       sys_.targets)
+            a_set, t_set = set(available), set(targets)
+            seen["self_loop"] += any(u == v for u, v in edges)
+            size = bf_max_linking_size(adj, a_set, t_set)
+            essential = frozenset(
+                a for a in available
+                if bf_max_linking_size(adj, a_set - {a}, t_set) < size)
+            reverse = {v: [u for u in adj if v in adj[u]] for v in adj}
+            assert both_kernels(essential_start_analysis, adj, available,
+                                targets) == [
+                (size, essential, frozenset(reachable_from(reverse, targets)))
+            ] * 2
+            assert both_kernels(minimal_left_separator, adj, available,
+                                targets) == [
+                bf_left_separator(adj, available, targets)] * 2
+            basis = first_basis(adj, available, targets)
+            assert TestLexicographicBasis.check(adj, available,
+                                                targets) == basis
+            net = flow._solved(adj, flow._flatten(adj, available, targets))
+            assert net.listed and net.value == size
+            for open_sources in (False, True):
+                assert_labelled(net, open_sources)
+            assert not assert_backward_search(net)[2 * n]
+            plain, lexi = solve_mtcp(sys_), solve_mtcp(sys_, True)
+            if isinstance(plain, Unsolvable):
+                seen["unsolvable"] += 1
+                assert lexi == plain
+                continue
+            seen["solvable"] += 1
+            assert lexi.steering == basis
+            # both linkings are the list kernel's flow, trimmed
+            paths = net.paths()
+            assert lexi.witness == flow._trimmed(paths, set(basis), t_set)
+            assert plain.witness == flow._trimmed(paths, a_set, t_set)
+            if all(v not in a_set for path in lexi.witness.paths
+                   for v in path[1:]):
+                assert plain.steering == basis
+            seen["same_steering" if plain.steering == basis
+                 else "other_steering"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestNodeGraphLabellings:
@@ -1186,9 +1271,11 @@ class TestLexicographicBasis:
             if len(basis) == len(targets):
                 seen["solvable"] += 1
                 assert bf_is_admissible(adj, basis, targets)
-            # the greedy's searches, on the whole graph, and the candidate
-            # that each push took, on the flow before it
-            steps = [flow_ for flow_ in searches if len(flow_.labels) == n]
+            # the CSR greedy's searches, on the whole graph, and the
+            # candidate that each push took, on the flow before it; the list
+            # greedy's searches are checked by the spy alone
+            steps = [flow_ for flow_ in searches
+                     if len(flow_.labels) == n and not flow_.listed]
             for before, after in zip(steps, steps[1:]):
                 taken, = set(after.on[after.firsts].tolist()) - set(
                     before.on[before.firsts].tolist())
